@@ -99,7 +99,6 @@ from .training import (
     TrainingExample,
     bce_loss,
     evaluate_mixture,
-    iou,
     label_predictions,
     load_checkpoint,
     make_mixture_task,
@@ -148,7 +147,7 @@ __all__ = [
     "synthesize_deivg",
     # training
     "MixtureTask", "TrainConfig", "TrainResult", "TrainingExample",
-    "bce_loss", "evaluate_mixture", "iou", "label_predictions",
+    "bce_loss", "evaluate_mixture", "label_predictions",
     "load_checkpoint", "make_mixture_task", "save_checkpoint", "save_trace",
     "specialize_program", "train_mixture",
     # evaluation

@@ -40,7 +40,7 @@ from .datasets import (
     synthesize_deivg,
 )
 from .evaluation import EmptyEvaluation, EvalConfig, evaluate_instances
-from .grounding import ReasoningGraph, UniverseTooLarge, ground_program
+from .grounding import UniverseTooLarge, build_reasoning_graph
 from .logic import Program, parse_program, render_program, render_rule
 from .reasoner import (
     DimensionMismatch,
@@ -185,10 +185,7 @@ def cmd_reason(args) -> int:
                 ],
                 "unresolved": list(report.unresolved),
             }
-        ground_rules = ground_program(scene_program, facts)
-        graph = ReasoningGraph(
-            ground_rules, facts, n_rules=len(scene_program.rules)
-        )
+        graph = build_reasoning_graph(scene_program, facts)
         weights = np.array(
             [r.weight for r in scene_program.rules], dtype=np.float64
         )
@@ -411,8 +408,7 @@ def _pipeline_predictions(task_args) -> list[tuple]:
     inst, sg, reasoner_cfg, seed = task_args
     program = template_rulegen(inst.structured)
     facts, fact_values = scene_graph_to_facts(sg)
-    ground_rules = ground_program(program, facts)
-    graph = ReasoningGraph(ground_rules, facts, n_rules=len(program.rules))
+    graph = build_reasoning_graph(program, facts)
     weights = np.array([r.weight for r in program.rules], dtype=np.float64)
     v_final = forward(
         graph, graph.initial_valuation(fact_values), weights, reasoner_cfg

@@ -5,10 +5,14 @@ in the first (subject) argument position of any fact plus constants matching
 ``obj<N>``/``sgg<N>`` anywhere in the facts or the program. Attribute
 constants inside rules (``boat``, ``cyan``) are never substituted.
 
-A ground body atom is *supportable* if it is an input fact or its predicate
-is intensional (appears as some rule head); rule instances with an
-unsupportable body atom are pruned. This one-pass relevance filter is an
-over-approximation: it never drops a derivable atom.
+Grounding is bottom-up evaluation over atom presence (Abiteboul, Hull and
+Vianu, *Foundations of Databases*, the chapter on Datalog evaluation): the
+input facts are present whatever their values, and a rule instance is built
+only when every body atom is a fact or the head of an instance built before
+it. Instances that could never fire, and the atoms only they mention, never
+enter the graph, so the reasoner gives no score to an atom without a
+derivation. Facts keep their nodes even at value 0, so gradients reach
+every fact.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ __all__ = [
 ]
 
 _OBJECT_PATTERN = re.compile(r"^(?:obj|sgg)\d+$")
+_TARGET = Predicate("target", 1)
 
 
 class UniverseTooLarge(RuntimeError):
@@ -62,35 +67,103 @@ def grounding_universe(program: Program, facts: FactSet) -> tuple[Term, ...]:
     return tuple(seen)
 
 
-def _match(
-    pattern: Atom,
-    fact: Atom,
-    binding: dict[Term, Term],
-    universe: frozenset[Term],
-) -> dict[Term, Term] | None:
-    """Extend binding so that pattern == fact, or None if impossible.
+class _Step:
+    """One body atom of a rule's join plan.
 
-    New bindings must come from the grounding universe: a variable never
-    captures an attribute constant, even when a fact carries one.
+    ``key`` lists, for each bound argument position, either a constant name
+    or the slot of an already-bound variable. ``binds`` are the (position,
+    slot) pairs whose variables this atom binds first, and ``checks`` are
+    (position, earlier position) pairs for a variable repeated inside the
+    atom. ``order`` lists indices into ``binds`` sorted by variable name.
+    ``slots`` maps variable names to slots and gains this atom's variables.
     """
-    if pattern.predicate != fact.predicate:
-        return None
-    out = binding
-    for p, f in zip(pattern.args, fact.args):
-        if p.is_constant:
-            if p != f:
-                return None
-            continue
-        bound = out.get(p)
-        if bound is None:
-            if f not in universe:
-                return None
-            if out is binding:
-                out = dict(binding)
-            out[p] = f
-        elif bound != f:
-            return None
-    return dict(out) if out is binding else out
+
+    __slots__ = ("predicate", "positions", "key", "binds", "checks", "order")
+
+    def __init__(self, body_atom: Atom, slots: dict[str, int]):
+        self.predicate = body_atom.predicate
+        positions: list[int] = []
+        key: list[str | int] = []
+        checks: list[tuple[int, int]] = []
+        first: dict[str, int] = {}
+        for pos, t in enumerate(body_atom.args):
+            name = t.name
+            if not t.is_variable:
+                positions.append(pos)
+                key.append(name)
+            elif name in slots:
+                positions.append(pos)
+                key.append(slots[name])
+            elif name in first:
+                checks.append((pos, first[name]))
+            else:
+                first[name] = pos
+        binds = []
+        for name, pos in first.items():
+            slots[name] = len(slots)
+            binds.append((pos, slots[name]))
+        self.positions = tuple(positions)
+        self.key = tuple(key)
+        self.binds = tuple(binds)
+        self.checks = tuple(checks)
+        names = list(first)
+        self.order = tuple(sorted(range(len(names)), key=names.__getitem__))
+
+
+def _strata(program: Program) -> list[tuple[list[int], bool]]:
+    """Rule indices grouped by the strongly connected components of the
+    predicate dependency graph, dependencies first, each with a flag that
+    says whether the component is recursive (Tarjan's algorithm)."""
+    ids: dict[Predicate, int] = {}
+    rules_of: list[list[int]] = []
+    heads: list[int] = []
+    for i, rule in enumerate(program):
+        k = ids.setdefault(rule.head.predicate, len(ids))
+        if k == len(rules_of):
+            rules_of.append([])
+        rules_of[k].append(i)
+        heads.append(k)
+    depends: list[list[int]] = [[] for _ in rules_of]
+    for k, rule in zip(heads, program):
+        for b in rule.body:
+            j = ids.get(b.predicate)
+            if j is not None and j not in depends[k]:
+                depends[k].append(j)
+
+    n = len(rules_of)
+    order = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    strata: list[tuple[list[int], bool]] = []
+
+    def visit(p: int) -> None:
+        order[p] = low[p] = n - order.count(-1)  # predicates visited so far
+        stack.append(p)
+        on_stack[p] = True
+        for q in depends[p]:
+            if order[q] < 0:
+                visit(q)
+                low[p] = min(low[p], low[q])
+            elif on_stack[q]:
+                low[p] = min(low[p], order[q])
+        if low[p] == order[p]:
+            component = []
+            while True:
+                q = stack.pop()
+                on_stack[q] = False
+                component.append(q)
+                if q == p:
+                    break
+            recursive = len(component) > 1 or p in depends[p]
+            strata.append(
+                (sorted(i for q in component for i in rules_of[q]), recursive)
+            )
+
+    for p in range(n):
+        if order[p] < 0:
+            visit(p)
+    return strata
 
 
 def ground_program(
@@ -99,22 +172,25 @@ def ground_program(
     *,
     max_groundings: int = 10**7,
 ) -> list[GroundRule]:
-    """Instantiate every rule over the grounding universe.
+    """Ground the rule instances that can fire.
 
-    Extensional body atoms are grounded by joining against matching facts;
-    intensional body atoms enumerate the universe for their unbound
-    variables. Raises :class:`UniverseTooLarge` when a rule's candidate
-    substitution space or an intermediate join exceeds ``max_groundings``.
+    A bottom-up boolean fixpoint over atom *presence*: the input facts are
+    present whatever their values, and the head of an instance whose body
+    atoms are all present becomes present. Rules are evaluated stratum by
+    stratum in dependency order; a non-recursive stratum takes one pass and
+    a recursive one re-joins until no new head appears. Each body atom
+    joins, through a hash index on its bound argument positions, against
+    the facts plus the heads derived so far, binding variables only to
+    constants of the grounding universe.
+
+    The result holds every instance over the universe whose body atoms are
+    all present, ordered by rule index and then by join order: extensional
+    body atoms first, each taking its matching facts in fact-store order,
+    then intensional ones, whose new bindings follow universe order. Raises
+    :class:`UniverseTooLarge` when a rule's candidate substitution space or
+    an intermediate join exceeds ``max_groundings``.
     """
     universe = grounding_universe(program, facts)
-    universe_set = frozenset(universe)
-    intensional = program.intensional_predicates
-
-    by_pred: dict[Predicate, list[Atom]] = {}
-    for f in facts:
-        by_pred.setdefault(f.predicate, []).append(f)
-
-    ground_rules: list[GroundRule] = []
     for rule_index, rule in enumerate(program):
         n_vars = len(rule.variables)
         if n_vars and len(universe) ** n_vars > max_groundings:
@@ -122,39 +198,74 @@ def ground_program(
                 f"rule {rule_index}: {len(universe)}^{n_vars} candidate "
                 f"substitutions exceed the cap of {max_groundings}"
             )
+    rank = {t.name: i for i, t in enumerate(universe)}
+    intensional = program.intensional_predicates
 
-        # Extensional atoms first: they bind variables from facts and keep
-        # the join small before intensional atoms enumerate the universe.
+    # Present atoms by predicate, keyed by argument names: the facts in
+    # fact-store order, then derived heads in derivation order.
+    present: dict[Predicate, dict[tuple[str, ...], Atom]] = {}
+    for f in facts:
+        present.setdefault(f.predicate, {})[tuple(t.name for t in f.args)] = f
+    # (predicate, bound positions) -> bound argument names -> atoms.
+    indexes: dict[tuple[Predicate, tuple[int, ...]], dict[tuple, list[Atom]]] = {}
+
+    def candidates(step: _Step, key: tuple[str, ...]):
+        atoms = present.get(step.predicate)
+        if not atoms:
+            return ()
+        if len(step.positions) == step.predicate.arity:
+            hit = atoms.get(key)
+            return () if hit is None else (hit,)
+        if not step.positions:
+            return atoms.values()
+        index = indexes.get((step.predicate, step.positions))
+        if index is None:
+            index = {}
+            for a in atoms.values():
+                args = a.args
+                index.setdefault(
+                    tuple(args[p].name for p in step.positions), []
+                ).append(a)
+            indexes[(step.predicate, step.positions)] = index
+        return index.get(key, ())
+
+    def join(rule_index: int) -> list[GroundRule]:
+        rule = program.rules[rule_index]
         ordered = sorted(
             range(len(rule.body)),
             key=lambda i: (rule.body[i].predicate in intensional, i),
         )
+        slots: dict[str, int] = {}
+        steps = [_Step(rule.body[i], slots) for i in ordered]
 
-        bindings: list[dict[Term, Term]] = [{}]
-        for i in ordered:
-            body_atom = rule.body[i]
-            extended: list[dict[Term, Term]] = []
-            if body_atom.predicate in intensional:
-                for b in bindings:
-                    partial = body_atom.substitute(b)
-                    free = sorted(partial.variables, key=lambda t: t.name)
-                    if not free:
-                        extended.append(b)
+        # A binding is (bound terms by slot, matched atoms by step).
+        bindings: list[tuple[tuple[Term, ...], tuple[Atom, ...]]] = [((), ())]
+        for i, step in zip(ordered, steps):
+            sort_new = (
+                rule.body[i].predicate in intensional and len(step.binds) > 0
+            )
+            extended = []
+            for terms, matched in bindings:
+                key = tuple(
+                    k if k.__class__ is str else terms[k].name
+                    for k in step.key
+                )
+                found = []
+                for a in candidates(step, key):
+                    args = a.args
+                    if any(args[p].name != args[q].name for p, q in step.checks):
                         continue
-                    stack = [b]
-                    for v in free:
-                        stack = [
-                            {**bb, v: c} for bb in stack for c in universe
-                        ]
-                    extended.extend(stack)
-            else:
-                candidates = by_pred.get(body_atom.predicate, ())
-                for b in bindings:
-                    partial = body_atom.substitute(b)
-                    for f in candidates:
-                        b2 = _match(partial, f, b, universe_set)
-                        if b2 is not None:
-                            extended.append(b2)
+                    new = tuple(args[p] for p, _ in step.binds)
+                    if all(t.name in rank for t in new):
+                        found.append((terms + new, matched + (a,)))
+                if sort_new and len(found) > 1:
+                    # Same order as enumerating the new variables, sorted by
+                    # name, over the universe.
+                    n_old = len(terms)
+                    found.sort(key=lambda b: tuple(
+                        rank[b[0][n_old + j].name] for j in step.order
+                    ))
+                extended.extend(found)
             bindings = extended
             if len(bindings) > max_groundings:
                 raise UniverseTooLarge(
@@ -162,16 +273,48 @@ def ground_program(
                     f"{max_groundings} bindings"
                 )
             if not bindings:
+                return []
+
+        head = rule.head
+        head_slots = [
+            slots[t.name] if t.is_variable else None for t in head.args
+        ]
+        body_at = [ordered.index(i) for i in range(len(rule.body))]
+        out = []
+        for terms, matched in bindings:
+            args = tuple(
+                t if s is None else terms[s] for t, s in zip(head.args, head_slots)
+            )
+            out.append(
+                GroundRule(
+                    Atom(head.predicate, args),
+                    tuple(matched[j] for j in body_at),
+                    rule_index,
+                )
+            )
+        return out
+
+    per_rule: list[list[GroundRule]] = [[] for _ in program.rules]
+    for indices, recursive in _strata(program):
+        while True:
+            new_heads: dict[tuple[Predicate, tuple[str, ...]], Atom] = {}
+            for rule_index in indices:
+                per_rule[rule_index] = join(rule_index)
+                for gr in per_rule[rule_index]:
+                    key = tuple(t.name for t in gr.head.args)
+                    if key not in present.get(gr.head.predicate, ()):
+                        new_heads.setdefault((gr.head.predicate, key), gr.head)
+            for (pred, key), a in new_heads.items():
+                present.setdefault(pred, {})[key] = a
+                for (p, positions), index in indexes.items():
+                    if p == pred:
+                        index.setdefault(
+                            tuple(a.args[q].name for q in positions), []
+                        ).append(a)
+            if not (recursive and new_heads):
                 break
 
-        for b in bindings:
-            head = rule.head.substitute(b)
-            body = tuple(a.substitute(b) for a in rule.body)
-            if not head.is_ground():
-                continue  # unreachable under range restriction
-            ground_rules.append(GroundRule(head, body, rule_index))
-
-    return ground_rules
+    return [gr for instances in per_rule for gr in instances]
 
 
 class ReasoningGraph:
@@ -180,11 +323,18 @@ class ReasoningGraph:
     One conjunction node per ground rule; each has one or more body atoms
     (atom -> conj edges) and exactly one head atom (conj -> atom edge).
     The first ``n_facts`` atom nodes are the input facts in fact-store
-    order, so fact valuations align with atom node ids. Immutable after
-    construction.
+    order, so fact valuations align with atom node ids. ``defines_target``
+    records whether the program has a target/1 rule, which a graph without
+    target/1 atoms cannot show. Immutable after construction.
     """
 
-    def __init__(self, ground_rules: list[GroundRule], facts: FactSet, n_rules: int | None = None):
+    def __init__(
+        self,
+        ground_rules: list[GroundRule],
+        facts: FactSet,
+        n_rules: int | None = None,
+        defines_target: bool = False,
+    ):
         atoms: list[Atom] = list(facts)
         index: dict[Atom, int] = {a: i for i, a in enumerate(atoms)}
 
@@ -214,6 +364,7 @@ class ReasoningGraph:
         if n_rules is None:
             n_rules = max(rule_idx) + 1 if rule_idx else 0
         self.n_rules: int = n_rules
+        self.defines_target: bool = defines_target
 
         self.conj_head = np.asarray(head_idx, dtype=np.int64)
         self.conj_rule = np.asarray(rule_idx, dtype=np.int64)
@@ -294,7 +445,14 @@ def build_reasoning_graph(
 
     Atom nodes are deduplicated; every input fact has a node even when no
     rule touches it. The graph's rule-weight vector is sized by the
-    program, so rules without groundings still own a weight slot.
+    program, so rules without groundings still own a weight slot, and the
+    graph records whether the program defines target/1 even when no
+    target atom is derivable.
     """
     ground_rules = ground_program(program, facts, max_groundings=max_groundings)
-    return ReasoningGraph(ground_rules, facts, n_rules=len(program.rules))
+    return ReasoningGraph(
+        ground_rules,
+        facts,
+        n_rules=len(program.rules),
+        defines_target=_TARGET in program.intensional_predicates,
+    )

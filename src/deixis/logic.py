@@ -9,6 +9,7 @@ optional decimal weight prefix ``0.5: `` and an optional trailing period.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -133,6 +134,8 @@ class Rule:
 
     def __post_init__(self):
         object.__setattr__(self, "weight", float(self.weight))
+        if not math.isfinite(self.weight):
+            raise ValueError(f"non-finite rule weight {self.weight}")
         if self.weight < 0.0:
             raise ValueError(f"negative rule weight {self.weight}")
         body_vars: set[Term] = set()

@@ -39,7 +39,7 @@ class TapeMissing(RuntimeError):
 
 
 class NoTargetAtoms(ValueError):
-    """The reasoning graph contains no target/1 atoms to extract."""
+    """The program has no target/1 rule, so there is nothing to extract."""
 
 
 @dataclass(frozen=True)
@@ -411,9 +411,11 @@ def extract_targets(
 
     Objects scoring strictly above ``cfg.target_threshold`` are returned in
     descending score order (ties broken by scene order).  When none clears
-    the threshold, a single uniformly random object with a score drawn from
-    ``cfg.fallback_score_range`` stands in, flagged as a fallback.  A graph
-    with no target/1 atoms raises :class:`NoTargetAtoms`.
+    the threshold, including when the program defines target/1 but no
+    target atom is derivable, a single uniformly random object with a score
+    drawn from ``cfg.fallback_score_range`` stands in, flagged as a
+    fallback.  A graph with no target/1 atoms whose program has no target/1
+    rule raises :class:`NoTargetAtoms`.
     """
     v_final = np.asarray(v_final, dtype=np.float64)
     if v_final.shape != (graph.n_atoms,):
@@ -427,8 +429,8 @@ def extract_targets(
         for i, a in enumerate(graph.atoms)
         if a.predicate.name == "target" and a.predicate.arity == 1
     ]
-    if not target_atoms:
-        raise NoTargetAtoms("the grounded program derives no target/1 atoms")
+    if not target_atoms and not graph.defines_target:
+        raise NoTargetAtoms("the program has no target/1 rule")
 
     constants = object_constants(sg)
     by_constant = {

@@ -9,6 +9,7 @@ canonicalized name.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,11 @@ class Box:
     h: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h)):
+            raise ValueError(
+                f"box coordinates must be finite: "
+                f"x={self.x}, y={self.y}, w={self.w}, h={self.h}"
+            )
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box size must be positive: w={self.w}, h={self.h}")
         if self.x < 0 or self.y < 0:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .datasets import DeicticInstance
 from .evaluation import EvalConfig, evaluate_instances
-from .grounding import ReasoningGraph, ground_program
+from .grounding import ReasoningGraph, build_reasoning_graph
 from .logic import Atom, FactSet, Predicate, Program, Rule, Term
 from .reasoner import (
     ReasonerConfig,
@@ -39,11 +39,6 @@ from .reasoner import (
 from .scene import Box, SceneGraph, scene_graph_to_facts
 
 _BCE_EPS = 1e-7
-
-
-def iou(a: Box, b: Box) -> float:
-    """Intersection area over union area of two boxes."""
-    return a.iou(b)
 
 
 def sigmoid(x):
@@ -62,7 +57,7 @@ def label_predictions(
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     labels = np.zeros(len(predictions), dtype=np.float64)
     for i, pred in enumerate(predictions):
-        best = max((iou(pred.box, b) for b in answer_boxes), default=0.0)
+        best = max((pred.box.iou(b) for b in answer_boxes), default=0.0)
         if best > threshold:
             labels[i] = 1.0
     return labels
@@ -282,8 +277,7 @@ def _ground_example(task: MixtureTask, example: TrainingExample) -> _GroundedExa
     combined = Program(specialized.rules + task.program_template.rules)
     merge_offset = len(specialized.rules)
     facts, fact_values = mixture_facts(task.sources, example.scene_graphs)
-    ground_rules = ground_program(combined, facts)
-    graph = ReasoningGraph(ground_rules, facts, n_rules=len(combined.rules))
+    graph = build_reasoning_graph(combined, facts)
     weights_base = np.array([r.weight for r in combined.rules], dtype=np.float64)
     merge_indices = np.arange(
         merge_offset, merge_offset + len(task.sources), dtype=np.int64

@@ -63,6 +63,47 @@ def boolean_rounds(program, true_facts, rounds: int) -> set:
     return known
 
 
+def boolean_closure(program, facts) -> set:
+    """Every atom derivable from the facts, all taken as true: naive
+    boolean forward chaining run until a round adds nothing. The universe
+    stays the one of the facts, so the rounds restart from them."""
+    known = set(facts)
+    rounds = 1
+    while True:
+        derived = boolean_rounds(program, facts, rounds)
+        if derived == known:
+            return known
+        known = derived
+        rounds += 1
+
+
+def oracle_ground(program, facts) -> set:
+    """The rule instances that can fire, as (rule_index, head, body).
+
+    Enumerates every substitution of each rule's variables over the
+    restricted universe and keeps the instances whose body atoms all lie
+    in the boolean closure of the facts.
+    """
+    universe = oracle_universe(program, list(facts))
+    from deixis.logic import Term
+
+    constants = [Term(name) for name in universe]
+    closure = boolean_closure(program, list(facts))
+    instances = set()
+    for index, rule in enumerate(program.rules):
+        variables = sorted(
+            {t for a in (rule.head, *rule.body) for t in a.args
+             if t.is_variable},
+            key=lambda t: t.name,
+        )
+        for combo in itertools.product(constants, repeat=len(variables)):
+            binding = dict(zip(variables, combo))
+            body = tuple(_substitute(b, binding) for b in rule.body)
+            if all(b in closure for b in body):
+                instances.add((index, _substitute(rule.head, binding), body))
+    return instances
+
+
 def oracle_softor(values, gamma: float) -> float:
     peak = max(values)
     return peak + gamma * math.log(

@@ -51,6 +51,33 @@ def test_reason_with_program_file(tmp_path, data_dir, capsys):
     assert all(p["fallback"] for p in second["predictions"])
 
 
+def test_reason_underivable_target_falls_back(tmp_path, capsys):
+    # Nothing is on a boat, so no target atom is derivable at any gamma or
+    # step count: the scene still gets exactly one fallback prediction.
+    scene = {
+        "image_id": 5,
+        "objects": [
+            {"object_id": 1, "names": ["man"], "x": 0, "y": 0, "w": 10, "h": 20},
+            {"object_id": 2, "names": ["tree"], "x": 30, "y": 0, "w": 10, "h": 40},
+        ],
+        "relations": [{"subject_id": 1, "predicate": "near", "object_id": 2}],
+    }
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    code = main(
+        [
+            "reason", "--scene-graphs", str(path),
+            "--structured", '[["on", "boat"]]',
+            "--gamma", "0.05", "--steps", "8",
+        ]
+    )
+    assert code == 0
+    result = json.loads(capsys.readouterr().out)["results"][0]
+    assert len(result["predictions"]) == 1
+    assert result["predictions"][0]["fallback"] is True
+    assert result["fired_rules"] == []
+
+
 def test_reason_with_structured_json(data_dir, capsys):
     code = main(
         [

@@ -49,6 +49,13 @@ def test_rule_range_restriction():
         Rule(head=atom("target", "X"), body=(atom("on", "Y", "Z"),))
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_rule_rejects_non_finite_weight(weight):
+    with pytest.raises(ValueError, match="non-finite"):
+        Rule(head=atom("target", "X"), body=(atom("on", "X", "Y"),),
+             weight=weight)
+
+
 def test_rule_weight_is_plain_float():
     rule = parse_rule("0.5: target(X):-cond1(X).")
     assert type(rule.weight) is float

@@ -37,6 +37,14 @@ def test_box_validates():
         Box(0, 0, -1, 10)
 
 
+@pytest.mark.parametrize("field", ["x", "y", "w", "h"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_box_rejects_non_finite_coordinates(field, value):
+    coords = {"x": 0.0, "y": 0.0, "w": 10.0, "h": 10.0, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        Box(**coords)
+
+
 def test_box_iou_known_values():
     a = Box(0, 0, 10, 10)
     assert a.iou(Box(0, 0, 10, 10)) == 1.0

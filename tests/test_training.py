@@ -6,11 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from deixis.datasets import corrupt_scene_graph, random_scene_graphs, synthesize_deivg
+from deixis.datasets import (
+    AnswerObject,
+    DeicticInstance,
+    corrupt_scene_graph,
+    random_scene_graphs,
+    synthesize_deivg,
+)
 from deixis.logic import atom, parse_program, render_program
 from deixis.reasoner import ReasonerConfig
 from deixis.rulegen import template_rulegen
-from deixis.scene import Box
+from deixis.scene import Box, SceneGraph, SceneObject
 from deixis.training import (
     TrainConfig,
     TrainingExample,
@@ -168,6 +174,27 @@ def test_evaluate_mixture_scores_gt_perfectly():
     theta = np.array([4.0, -4.0])
     score = evaluate_mixture(task, theta, examples)
     assert score == pytest.approx(1.0)
+
+
+def test_evaluate_mixture_falls_back_when_target_is_underivable():
+    # One object and no relations: target(X) can never be derived from
+    # either source, so the single fallback prediction picks the answer.
+    man = SceneObject(1, ("man",), Box(0, 0, 10, 20))
+    sg = SceneGraph(image_id=3, objects=(man,), relations=())
+    instance = DeicticInstance(
+        deictic_prompt="the man on the boat",
+        answers=(AnswerObject(object_id=1, box=man.box, names=("man",)),),
+        image_id=3,
+        structured=(("on", "boat"),),
+        complexity=1,
+    )
+    example = TrainingExample(
+        instance=instance,
+        program=template_rulegen(instance.structured),
+        scene_graphs={"ground_truth": sg, "corrupted": sg},
+    )
+    task = make_mixture_task(("ground_truth", "corrupted"))
+    assert evaluate_mixture(task, task.params, [example]) == 1.0
 
 
 def test_checkpoint_round_trip(tmp_path):
