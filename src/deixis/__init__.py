@@ -55,7 +55,6 @@ from .reasoner import (
 )
 from .unify import (
     EmbeddingStore,
-    HttpEmbeddingStore,
     MissingEmbedding,
     UnificationReport,
     nearest_term,
@@ -133,7 +132,7 @@ __all__ = [
     "DimensionMismatch", "NoTargetAtoms", "ReasonerConfig", "TapeMissing",
     "TargetPrediction", "backward", "extract_targets", "forward", "softor",
     # unify
-    "EmbeddingStore", "HttpEmbeddingStore", "MissingEmbedding",
+    "EmbeddingStore", "MissingEmbedding",
     "UnificationReport", "nearest_term", "unify_program",
     # rulegen
     "FixtureClient", "FormatError", "HttpChatClient", "PromptBundle",

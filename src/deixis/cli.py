@@ -22,7 +22,6 @@ import json
 import os
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .datasets import (
     corrupt_scene_graph,
     generate_deiclevr,
     load_deivg,
+    load_predictions,
     random_scene_graphs,
     save_deiclevr,
     save_deivg,
@@ -97,15 +97,6 @@ def write_manifest(output_path: str, command: str, config: dict, seed) -> str:
     return path
 
 
-def _parallel_map(fn, items, jobs: int) -> list:
-    """Ordered map, optionally across a thread pool."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _write_json(data, path: str | None) -> None:
     text = json.dumps(data, indent=2) + "\n"
     if path:
@@ -122,7 +113,11 @@ def _load_program_for_prompt(args) -> tuple[Program, dict]:
             return parse_program(fh.read()), {"source": "program_file"}
     if args.structured:
         pairs = json.loads(args.structured)
-        return template_rulegen([tuple(p) for p in pairs]), {"source": "template"}
+        if not isinstance(pairs, list):
+            raise ValueError(
+                "--structured must be a JSON array of [relation, attribute] pairs"
+            )
+        return template_rulegen(pairs), {"source": "template"}
 
     # Natural-language prompt: needs a rule generator.
     cfg = RulegenConfig(
@@ -404,8 +399,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _pipeline_predictions(task_args) -> list[tuple]:
-    inst, sg, reasoner_cfg, seed = task_args
+def _pipeline_predictions(
+    inst: DeicticInstance, sg: SceneGraph, reasoner_cfg: ReasonerConfig, seed: int
+) -> list[tuple]:
     program = template_rulegen(inst.structured)
     facts, fact_values = scene_graph_to_facts(sg)
     graph = build_reasoning_graph(program, facts)
@@ -424,17 +420,12 @@ def cmd_eval(args) -> int:
     answer_sets = [[a.box for a in inst.answers] for inst in instances]
 
     if args.predictions:
-        with open(args.predictions, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, list) or len(raw) != len(instances):
+        prediction_sets = load_predictions(args.predictions)
+        if len(prediction_sets) != len(instances):
             raise ValueError(
                 "predictions file must be a JSON array aligned with the "
                 f"data file ({len(instances)} instances)"
             )
-        prediction_sets = [
-            [(p["box"], p["score"]) for p in record.get("predictions", [])]
-            for record in raw
-        ]
     elif args.scene_graphs:
         graphs_by_image = {
             sg.image_id: sg for sg in load_scene_graphs(args.scene_graphs)
@@ -442,7 +433,7 @@ def cmd_eval(args) -> int:
         reasoner_cfg = ReasonerConfig(
             gamma=args.gamma, steps=args.steps, rng_seed=args.seed
         )
-        tasks = []
+        prediction_sets = []
         for inst in instances:
             if not inst.structured:
                 raise ValueError(
@@ -454,8 +445,9 @@ def cmd_eval(args) -> int:
                 raise ValueError(
                     f"no scene graph for image {inst.image_id} in the corpus"
                 )
-            tasks.append((inst, sg, reasoner_cfg, args.seed))
-        prediction_sets = _parallel_map(_pipeline_predictions, tasks, args.jobs)
+            prediction_sets.append(
+                _pipeline_predictions(inst, sg, reasoner_cfg, args.seed)
+            )
     else:
         raise ValueError("eval needs --predictions or --scene-graphs")
 
@@ -632,7 +624,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     evaluate.add_argument("--gamma", type=float, default=0.01)
     evaluate.add_argument("--steps", type=int, default=2)
     evaluate.add_argument("--seed", type=int, default=0)
-    evaluate.add_argument("--jobs", type=int, default=1)
     evaluate.add_argument("--output")
     evaluate.set_defaults(func=cmd_eval)
     apply_config(evaluate)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ from .scene import (
     SceneGraph,
     SceneObject,
     SceneRelation,
+    SchemaError,
     canon_constant,
 )
 
@@ -76,14 +78,6 @@ class InsufficientCandidates(RuntimeError):
 
 class InsufficientCandidatesWarning(UserWarning):
     """Non-strict synthesis returned fewer instances than requested."""
-
-
-class SchemaError(ValueError):
-    """A dataset file does not match the expected JSON shape."""
-
-    def __init__(self, path: str, message: str) -> None:
-        self.json_path = path
-        super().__init__(f"{path}: {message}")
 
 
 def _article(noun: str) -> str:
@@ -324,6 +318,24 @@ def _require(record: dict, key: str, path: str):
     return record[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parse_box(record: dict, path: str) -> Box:
+    """A Box from the numeric x, y, w, h keys of ``record``."""
+    coords = {}
+    for key in ("x", "y", "w", "h"):
+        value = _require(record, key, f"{path}.{key}")
+        if not _is_number(value):
+            raise SchemaError(f"{path}.{key}", "must be a number")
+        coords[key] = value
+    try:
+        return Box(**coords)
+    except ValueError as exc:
+        raise SchemaError(path, f"invalid box: {exc}") from exc
+
+
 def _parse_answer(record, path: str) -> AnswerObject:
     if not isinstance(record, dict):
         raise SchemaError(path, "answer entry must be an object")
@@ -337,19 +349,10 @@ def _parse_answer(record, path: str) -> AnswerObject:
         raise SchemaError(path, "answer entry needs 'names' or 'name'")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise SchemaError(f"{path}.names", "must be a string or list of strings")
-    coords = {}
-    for key in ("x", "y", "w", "h"):
-        value = _require(record, key, f"{path}.{key}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(f"{path}.{key}", "must be a number")
-        coords[key] = value
+    box = _parse_box(record, path)
     object_id = _require(record, "object_id", f"{path}.object_id")
     if not isinstance(object_id, int) or isinstance(object_id, bool):
         raise SchemaError(f"{path}.object_id", "must be an integer")
-    try:
-        box = Box(**coords)
-    except ValueError as exc:
-        raise SchemaError(path, f"invalid box: {exc}") from exc
     merged = record.get("merged_object_ids", [])
     if not isinstance(merged, list) or not all(isinstance(m, int) for m in merged):
         raise SchemaError(f"{path}.merged_object_ids", "must be a list of integers")
@@ -427,6 +430,38 @@ def load_deivg(path: str) -> list[DeicticInstance]:
         except ValueError as exc:
             raise SchemaError(where, str(exc)) from exc
     return instances
+
+
+def load_predictions(path: str) -> list[list[tuple[Box, float]]]:
+    """Read an ``eval --predictions`` file: one record per data record,
+    each with a ``predictions`` array of {"box": {x, y, w, h}, "score"}
+    entries. Boxes and scores must be finite numbers."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, list):
+        raise SchemaError("$", "top level must be an array of records")
+    prediction_sets = []
+    for i, record in enumerate(data):
+        where = f"$[{i}]"
+        if not isinstance(record, dict):
+            raise SchemaError(where, "record must be an object")
+        entries = record.get("predictions", [])
+        if not isinstance(entries, list):
+            raise SchemaError(f"{where}.predictions", "must be an array")
+        predictions = []
+        for j, entry in enumerate(entries):
+            ppath = f"{where}.predictions[{j}]"
+            if not isinstance(entry, dict):
+                raise SchemaError(ppath, "prediction must be an object")
+            box = _require(entry, "box", f"{ppath}.box")
+            if not isinstance(box, dict):
+                raise SchemaError(f"{ppath}.box", "must be an {x, y, w, h} object")
+            score = _require(entry, "score", f"{ppath}.score")
+            if not _is_number(score) or not math.isfinite(score):
+                raise SchemaError(f"{ppath}.score", "must be a finite number")
+            predictions.append((_parse_box(box, f"{ppath}.box"), float(score)))
+        prediction_sets.append(predictions)
+    return prediction_sets
 
 
 # --- abstract list-operation scenes ---------------------------------------
@@ -549,8 +584,6 @@ def _position_rules(n: int) -> list[Rule]:
     x, y, z = Term("X"), Term("Y"), Term("Z")
     leftof = Predicate("leftof", 2)
     pos = [Predicate(f"pos{k}", 1) for k in range(1, n + 1)]
-    if n == 1:
-        return [Rule(Atom(pos[0], (x,)), (Atom(Predicate("color", 2), (x, y)),))]
     if n == 2:
         return [
             Rule(Atom(pos[0], (x,)), (Atom(leftof, (x, y)),)),
@@ -562,7 +595,7 @@ def _position_rules(n: int) -> list[Rule]:
             Rule(Atom(pos[1], (x,)), (Atom(leftof, (y, x)), Atom(leftof, (x, z)))),
             Rule(Atom(pos[2], (x,)), (Atom(leftof, (y, x)), Atom(leftof, (z, y)))),
         ]
-    raise ValueError(f"scenes hold at most 3 objects, got {n}")
+    raise ValueError(f"position rules need 2 or 3 objects, got {n}")
 
 
 def clevr_program(operation: str, q: int, param: str | None, n_objects: int) -> Program:

@@ -17,12 +17,12 @@ every fact.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .logic import Atom, FactSet, Predicate, Program, Term
+from .scene import OBJECT_CONSTANT
 
 __all__ = [
     "GroundRule",
@@ -33,7 +33,6 @@ __all__ = [
     "build_reasoning_graph",
 ]
 
-_OBJECT_PATTERN = re.compile(r"^(?:obj|sgg)\d+$")
 _TARGET = Predicate("target", 1)
 
 
@@ -57,12 +56,12 @@ def grounding_universe(program: Program, facts: FactSet) -> tuple[Term, ...]:
             seen.setdefault(first, None)
     for fact in facts:
         for t in fact.args[1:]:
-            if t.is_constant and _OBJECT_PATTERN.match(t.name):
+            if t.is_constant and OBJECT_CONSTANT.match(t.name):
                 seen.setdefault(t, None)
     for rule in program:
         for a in (rule.head, *rule.body):
             for t in a.args:
-                if t.is_constant and _OBJECT_PATTERN.match(t.name):
+                if t.is_constant and OBJECT_CONSTANT.match(t.name):
                     seen.setdefault(t, None)
     return tuple(seen)
 
@@ -332,11 +331,11 @@ class ReasoningGraph:
         self,
         ground_rules: list[GroundRule],
         facts: FactSet,
-        n_rules: int | None = None,
-        defines_target: bool = False,
+        n_rules: int,
+        defines_target: bool,
     ):
         atoms: list[Atom] = list(facts)
-        index: dict[Atom, int] = {a: i for i, a in enumerate(atoms)}
+        index: dict[Atom, int] = dict(facts._index)
 
         def intern(a: Atom) -> int:
             i = index.get(a)
@@ -361,8 +360,6 @@ class ReasoningGraph:
         self.n_facts: int = len(facts)
         self.n_atoms: int = len(atoms)
         self.n_conj: int = len(ground_rules)
-        if n_rules is None:
-            n_rules = max(rule_idx) + 1 if rule_idx else 0
         self.n_rules: int = n_rules
         self.defines_target: bool = defines_target
 

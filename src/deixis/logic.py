@@ -107,9 +107,6 @@ class Atom:
     def is_ground(self) -> bool:
         return all(t.is_constant for t in self.args)
 
-    def substitute(self, binding: dict[Term, Term]) -> "Atom":
-        return Atom(self.predicate, tuple(binding.get(t, t) for t in self.args))
-
     def __str__(self) -> str:
         return f"{self.predicate.name}({','.join(t.name for t in self.args)})"
 
@@ -147,22 +144,11 @@ class Rule:
             raise ValueError(f"head variable(s) {names} do not appear in the body")
 
     @property
-    def is_fact(self) -> bool:
-        return not self.body
-
-    @property
     def variables(self) -> frozenset[Term]:
         vs = set(self.head.variables)
         for a in self.body:
             vs.update(a.variables)
         return frozenset(vs)
-
-    def substitute(self, binding: dict[Term, Term]) -> "Rule":
-        return Rule(
-            self.head.substitute(binding),
-            tuple(a.substitute(binding) for a in self.body),
-            self.weight,
-        )
 
     def __str__(self) -> str:
         return render_rule(self)

@@ -23,8 +23,6 @@ import re
 import time
 from dataclasses import dataclass, field
 
-import requests
-
 from .logic import (
     Atom,
     Predicate,
@@ -207,10 +205,19 @@ class HttpChatClient(ChatClient):
     Sends {model, messages, temperature} and reads
     choices[0].message.content.  Transient failures (timeouts, connection
     errors, 5xx) retry up to ``cfg.max_retries`` times; auth failures and
-    other 4xx responses fail immediately.
+    other 4xx responses fail immediately. Needs the ``requests`` package,
+    installed with the ``online`` extra.
     """
 
     def __init__(self, cfg: RulegenConfig, sleep=time.sleep) -> None:
+        try:
+            import requests
+        except ImportError:
+            raise ValueError(
+                "online rule generation needs the 'online' extra: "
+                "pip install 'deixis[online]'"
+            ) from None
+        self._requests = requests
         if not cfg.endpoint_url:
             raise ValueError("endpoint_url is required for HTTP rule generation")
         self.cfg = cfg
@@ -234,6 +241,7 @@ class HttpChatClient(ChatClient):
             "temperature": self.cfg.temperature,
         }
         headers = self._headers()
+        requests = self._requests
         last_error: ServiceError | None = None
         for attempt in range(self.cfg.max_retries + 1):
             if attempt:
@@ -571,7 +579,17 @@ def template_rulegen(structured) -> Program:
     x, y = Term("X"), Term("Y")
     rules = []
     target_body = []
-    for i, (relation, attribute) in enumerate(pairs, start=1):
+    for i, pair in enumerate(pairs, start=1):
+        if not (
+            isinstance(pair, (list, tuple))
+            and len(pair) == 2
+            and all(isinstance(p, str) for p in pair)
+        ):
+            raise ValueError(
+                f"condition {i}: expected a (relation, attribute) pair of "
+                f"strings, got {pair!r}"
+            )
+        relation, attribute = pair
         rel = canon_predicate(relation)
         attr = canon_constant(attribute)
         if not rel or not attr:

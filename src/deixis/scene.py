@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,11 @@ __all__ = [
     "SceneRelation",
     "SceneGraph",
     "DanglingReference",
+    "SchemaError",
+    "OBJECT_CONSTANT",
     "canon_constant",
     "canon_predicate",
     "object_constants",
-    "objects_by_constant",
     "scene_graph_to_facts",
     "parse_scene_graph",
     "load_scene_graphs",
@@ -34,6 +36,14 @@ __all__ = [
 
 class DanglingReference(ValueError):
     """A relation endpoint does not reference an existing object."""
+
+
+class SchemaError(ValueError):
+    """An input file does not match the expected JSON shape."""
+
+    def __init__(self, path: str, message: str) -> None:
+        self.json_path = path
+        super().__init__(f"{path}: {message}")
 
 
 @dataclass(frozen=True, order=True)
@@ -91,10 +101,19 @@ class SceneObject:
 
 @dataclass(frozen=True)
 class SceneRelation:
+    """A directed relation; a finite confidence is clipped to [0, 1]."""
+
     subject_id: int
     predicate: str
     object_id: int
     confidence: float = 1.0
+
+    def __post_init__(self):
+        c = self.confidence
+        if not 0.0 <= c <= 1.0:
+            if not math.isfinite(c):
+                raise ValueError(f"relation confidence must be finite, got {c}")
+            object.__setattr__(self, "confidence", min(max(c, 0.0), 1.0))
 
 
 @dataclass(frozen=True)
@@ -140,14 +159,14 @@ def canon_predicate(name: str) -> str:
     return "".join(c for c in joined if c.isalnum() or c == "_")
 
 
+# Names of object constants: ``obj<N>`` from scene graphs, ``sgg<N>`` for
+# the per-source objects of a scene-graph mixture.
+OBJECT_CONSTANT = re.compile(r"^(?:obj|sgg)\d+$")
+
+
 def object_constants(sg: SceneGraph) -> dict[int, Term]:
     """Map object_id -> dense constant obj1, obj2, ... in listing order."""
     return {o.object_id: Term(f"obj{i}") for i, o in enumerate(sg.objects, start=1)}
-
-
-def objects_by_constant(sg: SceneGraph) -> dict[str, SceneObject]:
-    """Map constant name ("obj1") back to the scene object it denotes."""
-    return {f"obj{i}": o for i, o in enumerate(sg.objects, start=1)}
 
 
 def scene_graph_to_facts(sg: SceneGraph) -> tuple[FactSet, np.ndarray]:
@@ -173,13 +192,7 @@ def scene_graph_to_facts(sg: SceneGraph) -> tuple[FactSet, np.ndarray]:
         name = canon_predicate(rel.predicate)
         if not name:
             continue
-        subj = consts.get(rel.subject_id)
-        obj = consts.get(rel.object_id)
-        if subj is None or obj is None:
-            raise DanglingReference(
-                f"relation '{rel.predicate}' references unknown object in scene "
-                f"{sg.image_id}"
-            )
+        subj, obj = consts[rel.subject_id], consts[rel.object_id]
         put(Atom(Predicate(name, 2), (subj, obj)), float(rel.confidence))
 
     type_pred = Predicate("type", 2)
@@ -205,51 +218,75 @@ def _as_names(entry: dict) -> tuple[str, ...]:
     return ()
 
 
-def _endpoint(entry: dict, key: str) -> int:
-    value = entry.get(key)
-    if value is None and key[:-3] in entry:  # "subject_id" -> nested "subject"
-        nested = entry[key[:-3]]
-        if isinstance(nested, dict):
-            value = nested.get("object_id", nested.get("id"))
-    if value is None:
-        raise ValueError(f"relation missing '{key}'")
-    return int(value)
+def _field(entry: dict, key: str, path: str, convert=float, default=None):
+    """``entry[key]`` passed through ``convert``; a missing key without a
+    default or an unconvertible value names ``path.key``."""
+    if key not in entry:
+        if default is None:
+            raise SchemaError(f"{path}.{key}", f"missing required key {key!r}")
+        return default
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError):
+        kind = "an integer" if convert is int else "a number"
+        raise SchemaError(f"{path}.{key}", f"must be {kind}") from None
 
 
-def parse_scene_graph(data: dict) -> SceneGraph:
+def _endpoint(entry: dict, key: str, path: str) -> int:
+    nested = entry.get(key[:-3])  # "subject_id" -> nested "subject"
+    if key not in entry and isinstance(nested, dict):
+        inner = "object_id" if "object_id" in nested else "id"
+        return _field(nested, inner, f"{path}.{key[:-3]}", int)
+    return _field(entry, key, path, int)
+
+
+def parse_scene_graph(data: dict, path: str = "$") -> SceneGraph:
     """Build a SceneGraph from a JSON dict.
 
     Accepts ``relations`` or ``relationships``, ``names`` or ``name``, and
-    nested subject/object dicts; unknown keys are ignored.
+    nested subject/object dicts; unknown keys are ignored. Malformed
+    entries raise :class:`SchemaError` naming their JSON path below
+    ``path``.
     """
+    if not isinstance(data, dict):
+        raise SchemaError(path, "scene graph must be an object")
     image_id = int(data.get("image_id", data.get("id", data.get("VG_image_id", 0))))
     objects = []
-    for entry in data.get("objects", ()):
-        if "object_id" not in entry:
-            raise ValueError("scene object missing 'object_id'")
+    for j, entry in enumerate(data.get("objects", ())):
+        opath = f"{path}.objects[{j}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(opath, "object must be a JSON object")
+        object_id = _field(entry, "object_id", opath, int)
+        x, y, w, h = (_field(entry, k, opath) for k in ("x", "y", "w", "h"))
+        try:
+            box = Box(x, y, w, h)
+        except ValueError as exc:
+            raise SchemaError(opath, f"invalid box: {exc}") from exc
         objects.append(
             SceneObject(
-                object_id=int(entry["object_id"]),
+                object_id=object_id,
                 names=_as_names(entry),
-                box=Box(
-                    float(entry["x"]),
-                    float(entry["y"]),
-                    float(entry["w"]),
-                    float(entry["h"]),
-                ),
+                box=box,
                 synsets=tuple(str(s) for s in entry.get("synsets", ())),
             )
         )
     relations = []
-    for entry in data.get("relations", data.get("relationships", ())):
-        relations.append(
-            SceneRelation(
-                subject_id=_endpoint(entry, "subject_id"),
-                predicate=str(entry["predicate"]),
-                object_id=_endpoint(entry, "object_id"),
-                confidence=float(entry.get("confidence", entry.get("score", 1.0))),
+    relations_key = "relations" if "relations" in data else "relationships"
+    for j, entry in enumerate(data.get(relations_key, ())):
+        rpath = f"{path}.{relations_key}[{j}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(rpath, "relation must be a JSON object")
+        predicate = _field(entry, "predicate", rpath, str)
+        subject_id = _endpoint(entry, "subject_id", rpath)
+        object_id = _endpoint(entry, "object_id", rpath)
+        key = "confidence" if "confidence" in entry else "score"
+        confidence = _field(entry, key, rpath, default=1.0)
+        try:
+            relations.append(
+                SceneRelation(subject_id, predicate, object_id, confidence)
             )
-        )
+        except ValueError as exc:
+            raise SchemaError(f"{rpath}.{key}", str(exc)) from exc
     return SceneGraph(image_id, tuple(objects), tuple(relations))
 
 
@@ -282,5 +319,7 @@ def load_scene_graphs(path: str) -> list[SceneGraph]:
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
     if isinstance(data, dict):
-        data = [data]
-    return [parse_scene_graph(d) for d in data]
+        return [parse_scene_graph(data)]
+    if not isinstance(data, list):
+        raise SchemaError("$", "top level must be a scene graph or an array of them")
+    return [parse_scene_graph(d, f"$[{i}]") for i, d in enumerate(data)]

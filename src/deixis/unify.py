@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logic import Atom, FactSet, Predicate, Program, Rule, Term
-from .scene import canon_constant
+from .scene import OBJECT_CONSTANT, canon_constant
 
 # Symbols with structural meaning are never rewritten: the rule scaffold
 # (target, condN), the typing predicate, positional helpers, and anything
 # carrying a scene-graph tag.
 _STRUCTURAL = re.compile(r"^(target|targetSgg|cond\d+|type|typeSgg|pos\d+)$")
-_OBJECT_CONSTANT = re.compile(r"^(?:obj|sgg)\d+$")
 
 
 class MissingEmbedding(KeyError):
@@ -180,7 +179,7 @@ def _fact_vocabularies(facts: FactSet) -> tuple[set[str], set[str]]:
         elif not _STRUCTURAL.match(name) and not name.endswith("Sgg"):
             relations.add(name)
         for arg in fact.args[1:]:
-            if not _OBJECT_CONSTANT.match(arg.name):
+            if not OBJECT_CONSTANT.match(arg.name):
                 attributes.add(arg.name)
     return relations, attributes
 
@@ -251,7 +250,7 @@ def unify_program(
         for arg in atom_.args:
             if (
                 arg.is_variable
-                or _OBJECT_CONSTANT.match(arg.name)
+                or OBJECT_CONSTANT.match(arg.name)
                 or arg.name in attribute_vocab
             ):
                 args.append(arg)
@@ -272,75 +271,3 @@ def unify_program(
         )
     report = UnificationReport(tuple(substitutions), tuple(unresolved))
     return Program(tuple(rules)), report
-
-
-class HttpEmbeddingStore:
-    """Optional embedding service mirroring the EmbeddingStore interface.
-
-    POSTs {"texts": [words]} to the endpoint and expects {"vectors":
-    [[...d floats...] or null]}; results are cached by canonical key.  A
-    null vector means the service cannot embed the word, surfaced as
-    :class:`MissingEmbedding` (which the unifier degrades to unresolved).
-    Transport failures propagate, since they are operational rather than
-    lexical problems.  The file-backed store stays the hermetic default.
-    """
-
-    def __init__(
-        self,
-        endpoint_url: str,
-        dim: int,
-        api_key_env_var: str = "",
-        timeout: float = 10.0,
-    ) -> None:
-        import requests  # deferred so offline users never need it wired up
-
-        if not endpoint_url:
-            raise ValueError("endpoint_url is required")
-        if dim < 1:
-            raise ValueError(f"embedding dimension must be positive, got {dim}")
-        self.endpoint_url = endpoint_url
-        self.dim = dim
-        self.api_key_env_var = api_key_env_var
-        self.timeout = timeout
-        self._requests = requests
-        self._cache: dict[str, np.ndarray | None] = {}
-
-    canon = staticmethod(EmbeddingStore.canon)
-
-    def _fetch(self, key: str) -> np.ndarray | None:
-        if key in self._cache:
-            return self._cache[key]
-        headers = {}
-        if self.api_key_env_var:
-            import os
-
-            token = os.environ.get(self.api_key_env_var)
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
-        resp = self._requests.post(
-            self.endpoint_url,
-            json={"texts": [key]},
-            headers=headers,
-            timeout=self.timeout,
-        )
-        resp.raise_for_status()
-        raw = resp.json()["vectors"][0]
-        vec = None
-        if raw is not None:
-            vec = np.asarray(raw, dtype=np.float64).ravel()
-            if vec.shape != (self.dim,):
-                raise ValueError(
-                    f"service returned a vector of shape {vec.shape}, "
-                    f"expected ({self.dim},)"
-                )
-        self._cache[key] = vec
-        return vec
-
-    def __contains__(self, word: str) -> bool:
-        return self._fetch(self.canon(word)) is not None
-
-    def vector(self, word: str) -> np.ndarray:
-        vec = self._fetch(self.canon(word))
-        if vec is None:
-            raise MissingEmbedding(word)
-        return vec

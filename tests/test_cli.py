@@ -1,8 +1,14 @@
 """End-to-end command-line pipeline tests (all offline)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import deixis
 
 from deixis.cli import main
 from deixis.datasets import load_deiclevr, load_deivg
@@ -90,6 +96,33 @@ def test_reason_with_structured_json(data_dir, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["program_meta"]["source"] == "template"
     assert [p["object_id"] for p in payload["results"][0]["predictions"]] == [1]
+
+
+def test_reason_structured_names_the_bad_condition(data_dir, capsys):
+    code = main(
+        [
+            "reason",
+            "--scene-graphs", str(data_dir / "scene_graphs.json"),
+            "--structured", '[["on", "barge"], ["on"]]',
+        ]
+    )
+    assert code == 2
+    assert "condition 2" in capsys.readouterr().err
+
+
+def test_reason_names_the_bad_scene_graph_path(tmp_path, data_dir, capsys):
+    graphs = json.loads((data_dir / "scene_graphs.json").read_text())
+    del graphs[0]["objects"][1]["x"]
+    path = tmp_path / "graphs.json"
+    path.write_text(json.dumps(graphs))
+    code = main(
+        [
+            "reason", "--scene-graphs", str(path),
+            "--structured", '[["on", "barge"]]',
+        ]
+    )
+    assert code == 2
+    assert "$[0].objects[1].x" in capsys.readouterr().err
 
 
 def test_reason_unifies_against_embeddings(tmp_path, data_dir, capsys):
@@ -230,6 +263,33 @@ def test_eval_predictions_mode(tmp_path, graphs_file, capsys):
     assert report["map"] == pytest.approx(1.0)
 
 
+_BOX = {"x": 0, "y": 0, "w": 10, "h": 10}
+
+
+@pytest.mark.parametrize(
+    "prediction, where",
+    [
+        ({"box": [1, 2], "score": 0.9}, "$[0].predictions[0].box"),
+        ({"box": {**_BOX, "x": float("nan")}, "score": 0.9},
+         "$[0].predictions[0].box"),
+        ({"box": _BOX, "score": float("nan")}, "$[0].predictions[0].score"),
+        ({"box": _BOX, "score": "high"}, "$[0].predictions[0].score"),
+    ],
+)
+def test_eval_rejects_malformed_predictions(tmp_path, capsys, prediction, where):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps([{
+        "deictic_prompt": "an object that is on a boat.",
+        "answer": [{"names": ["man"], "object_id": 1, **_BOX}],
+        "VG_image_id": 1,
+    }]))
+    preds = tmp_path / "preds.json"
+    preds.write_text(json.dumps([{"predictions": [prediction]}]))
+    code = main(["eval", "--data", str(data), "--predictions", str(preds)])
+    assert code == 2
+    assert where in capsys.readouterr().err
+
+
 def test_eval_pipeline_mode_parallel(tmp_path, graphs_file, capsys):
     data = tmp_path / "data.json"
     assert main(
@@ -243,7 +303,7 @@ def test_eval_pipeline_mode_parallel(tmp_path, graphs_file, capsys):
     code = main(
         [
             "eval", "--data", str(data), "--scene-graphs", str(graphs_file),
-            "--match-iou", "0.9", "--jobs", "2",
+            "--match-iou", "0.9",
         ]
     )
     assert code == 0
@@ -412,3 +472,35 @@ def test_offline_pipeline_touches_no_sockets(
     assert main(
         ["eval", "--data", str(data), "--scene-graphs", str(graphs)]
     ) == 0
+
+
+def test_runs_without_the_online_extra(data_dir):
+    # With requests unimportable, everything offline still works and
+    # --online fails with exit 2, naming the extra to install.
+    script = (
+        "import sys; sys.modules['requests'] = None; "
+        "from deixis.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(deixis.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p
+    )
+    graphs = str(data_dir / "scene_graphs.json")
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    assert run("--version").returncode == 0
+    offline = run("reason", "--scene-graphs", graphs,
+                  "--structured", '[["on", "barge"]]')
+    assert offline.returncode == 0, offline.stderr
+    online = run("reason", "--scene-graphs", graphs, "--online",
+                 "--llm-url", "http://chat.invalid/v1",
+                 "--prompt", "an object that is on a bench.")
+    assert online.returncode == 2
+    assert "'online' extra" in online.stderr
+    assert "Traceback" not in online.stderr

@@ -168,7 +168,7 @@ class _Response:
 
 
 def test_http_client_retries_with_backoff(monkeypatch):
-    import deixis.rulegen as rulegen_mod
+    import requests
 
     calls = []
     sleeps = []
@@ -179,7 +179,7 @@ def test_http_client_retries_with_backoff(monkeypatch):
             return _Response(503)
         return _Response(200, "target(X):-cond1(X).")
 
-    monkeypatch.setattr(rulegen_mod.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     client = HttpChatClient(make_cfg(), sleep=sleeps.append)
     text = client.complete([{"role": "user", "content": "hi"}])
     assert text == "target(X):-cond1(X)."
@@ -188,10 +188,10 @@ def test_http_client_retries_with_backoff(monkeypatch):
 
 
 def test_http_client_gives_up_after_retries(monkeypatch):
-    import deixis.rulegen as rulegen_mod
+    import requests
 
     monkeypatch.setattr(
-        rulegen_mod.requests, "post", lambda *a, **k: _Response(500)
+        requests, "post", lambda *a, **k: _Response(500)
     )
     client = HttpChatClient(make_cfg(max_retries=1), sleep=lambda _: None)
     with pytest.raises(ServiceError):
@@ -199,7 +199,7 @@ def test_http_client_gives_up_after_retries(monkeypatch):
 
 
 def test_http_client_auth_failures_do_not_retry(monkeypatch):
-    import deixis.rulegen as rulegen_mod
+    import requests
 
     calls = []
 
@@ -207,7 +207,7 @@ def test_http_client_auth_failures_do_not_retry(monkeypatch):
         calls.append(1)
         return _Response(401)
 
-    monkeypatch.setattr(rulegen_mod.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     client = HttpChatClient(make_cfg(), sleep=lambda _: None)
     with pytest.raises(AuthError):
         client.complete([{"role": "user", "content": "hi"}])
@@ -223,7 +223,7 @@ def test_http_client_requires_configured_key(monkeypatch):
 
 
 def test_http_client_sends_bearer_token(monkeypatch):
-    import deixis.rulegen as rulegen_mod
+    import requests
 
     seen = {}
 
@@ -231,7 +231,7 @@ def test_http_client_sends_bearer_token(monkeypatch):
         seen.update(headers)
         return _Response(200, "ok")
 
-    monkeypatch.setattr(rulegen_mod.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     monkeypatch.setenv("CHAT_KEY", "sekrit")
     client = HttpChatClient(make_cfg(api_key_env_var="CHAT_KEY"))
     client.complete([{"role": "user", "content": "hi"}])
@@ -239,12 +239,12 @@ def test_http_client_sends_bearer_token(monkeypatch):
 
 
 def test_http_client_timeout_surfaces(monkeypatch):
-    import deixis.rulegen as rulegen_mod
+    import requests
 
     def fake_post(*args, **kwargs):
-        raise rulegen_mod.requests.Timeout("no answer")
+        raise requests.Timeout("no answer")
 
-    monkeypatch.setattr(rulegen_mod.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     client = HttpChatClient(make_cfg(max_retries=1), sleep=lambda _: None)
     with pytest.raises(Timeout):
         client.complete([{"role": "user", "content": "hi"}])

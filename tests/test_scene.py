@@ -1,5 +1,7 @@
 """Scene graphs, boxes, and the facts translation."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,7 @@ from deixis.scene import (
     SceneGraph,
     SceneObject,
     SceneRelation,
+    SchemaError,
     canon_constant,
     canon_predicate,
     load_scene_graphs,
@@ -138,6 +141,41 @@ def test_parse_scene_graph_tolerates_vg_shapes(data_dir):
         120, 170, 220, 90,
     )
     assert graphs[1].relations[0].confidence == pytest.approx(0.9)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_scene_relation_rejects_non_finite_confidence(value):
+    with pytest.raises(ValueError, match="finite"):
+        SceneRelation(1, "on", 2, confidence=value)
+
+
+@pytest.mark.parametrize("value, clipped", [(7.5, 1.0), (-0.5, 0.0)])
+def test_relation_confidence_is_clipped_at_ingestion(value, clipped):
+    sg = parse_scene_graph(scene_graph_to_dict(make_graph()) | {
+        "relations": [
+            {"subject_id": 1, "predicate": "on", "object_id": 2,
+             "confidence": value},
+        ],
+    })
+    assert sg.relations[0].confidence == clipped
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda g: g["objects"][1].pop("x"), "$[1].objects[1].x"),
+        (lambda g: g["relations"][0].update(confidence=float("nan")),
+         "$[1].relations[0].confidence"),
+    ],
+)
+def test_load_scene_graphs_names_the_bad_path(tmp_path, edit, where):
+    graphs = [scene_graph_to_dict(make_graph()) for _ in range(2)]
+    edit(graphs[1])
+    path = tmp_path / "graphs.json"
+    path.write_text(json.dumps(graphs))
+    with pytest.raises(SchemaError) as err:
+        load_scene_graphs(str(path))
+    assert err.value.json_path == where
 
 
 def test_scene_graph_dict_round_trip():
