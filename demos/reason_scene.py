@@ -2,8 +2,9 @@
 
 A two-condition program ("the thing that is on a boat and holding an
 umbrella") is grounded against a small scene and run through the soft
-forward chainer. The demo prints the reasoning graph, the valuation of
-every derived atom, and the final box prediction.
+forward chainer. The demo prints the facts the program can read (the
+scene's other facts are never built), the reasoning graph, the valuation
+of every derived atom, and the final box prediction.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from deixis import (
     forward,
     parse_program,
     scene_graph_to_facts,
+    scene_universe,
 )
 
 PROGRAM = """\
@@ -46,12 +48,16 @@ SCENE = SceneGraph(
 
 def main() -> None:
     program = parse_program(PROGRAM)
-    facts, values = scene_graph_to_facts(SCENE)
-    print("facts:")
+    facts, values = scene_graph_to_facts(SCENE, program)
+    print("facts the program can read:")
     for fact, value in zip(facts, values):
         print(f"  {fact}  = {value:.1f}")
 
-    graph = build_reasoning_graph(program, facts)
+    # The universe comes from the whole scene, so grounding binds variables
+    # exactly as it would over every fact.
+    universe = scene_universe(program, [SCENE])
+    print("grounding universe:", " ".join(t.name for t in universe))
+    graph = build_reasoning_graph(program, facts, universe=universe)
     print(f"\n{graph!r}")
 
     cfg = ReasonerConfig(gamma=0.01, steps=2)

@@ -22,6 +22,8 @@ from deixis import (
     parse_program,
     render_program,
     scene_graph_to_facts,
+    scene_universe,
+    scene_vocabularies,
     unify_program,
 )
 
@@ -57,13 +59,16 @@ def build_store() -> EmbeddingStore:
 
 def main() -> None:
     program = parse_program(PROGRAM)
-    facts, values = scene_graph_to_facts(SCENE)
     store = build_store()
 
     print("original program:")
     print(render_program(program))
 
-    unified, report = unify_program(program, facts, store)
+    # The scene's relation and attribute vocabularies, read off its
+    # canonical rows; no fact is built for them.
+    relations, attributes = scene_vocabularies(SCENE)
+    print(f"\nscene relations: {sorted(relations)}, attributes: {sorted(attributes)}")
+    unified, report = unify_program(program, (relations, attributes), store)
     print("\nsubstitutions:")
     for sub in report.substitutions:
         print(f"  {sub.original} -> {sub.replacement}"
@@ -74,7 +79,11 @@ def main() -> None:
     print("\nunified program:")
     print(render_program(unified))
 
-    graph = build_reasoning_graph(unified, facts)
+    # Facts are built for the unified program, which reads barge facts.
+    facts, values = scene_graph_to_facts(SCENE, unified)
+    graph = build_reasoning_graph(
+        unified, facts, universe=scene_universe(unified, [SCENE])
+    )
     cfg = ReasonerConfig()
     v = forward(graph, graph.initial_valuation(values),
                 np.ones(len(unified.rules)), cfg)

@@ -33,6 +33,7 @@ from .scene import (
     load_scene_graphs,
     parse_scene_graph,
     scene_graph_to_facts,
+    scene_universe,
 )
 from .grounding import (
     GroundRule,
@@ -58,6 +59,7 @@ from .unify import (
     MissingEmbedding,
     UnificationReport,
     nearest_term,
+    scene_vocabularies,
     unify_program,
 )
 from .rulegen import (
@@ -125,6 +127,7 @@ __all__ = [
     # scene
     "Box", "DanglingReference", "SceneGraph", "SceneObject", "SceneRelation",
     "load_scene_graphs", "parse_scene_graph", "scene_graph_to_facts",
+    "scene_universe",
     # grounding
     "GroundRule", "ReasoningGraph", "UniverseTooLarge",
     "build_reasoning_graph", "ground_program", "grounding_universe",
@@ -133,7 +136,7 @@ __all__ = [
     "TargetPrediction", "backward", "extract_targets", "forward", "softor",
     # unify
     "EmbeddingStore", "MissingEmbedding",
-    "UnificationReport", "nearest_term", "unify_program",
+    "UnificationReport", "nearest_term", "scene_vocabularies", "unify_program",
     # rulegen
     "FixtureClient", "FormatError", "HttpChatClient", "PromptBundle",
     "RulegenConfig", "ServiceError", "build_prompt", "generate_program",

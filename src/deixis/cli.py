@@ -11,7 +11,8 @@ Secrets never go in the config: the chat API key is read from the
 environment variable named by --llm-key-env.
 
 Exit codes: 0 success; 2 bad input or schema; 3 external-service failure;
-4 internal invariant violation.
+4 internal invariant violation or any other unexpected exception, reported
+in one line (``internal error: <Type>: <message>``) without a traceback.
 """
 
 from __future__ import annotations
@@ -59,7 +60,13 @@ from .rulegen import (
     generate_program,
     template_rulegen,
 )
-from .scene import DanglingReference, SceneGraph, load_scene_graphs, scene_graph_to_facts
+from .scene import (
+    DanglingReference,
+    SceneGraph,
+    load_scene_graphs,
+    scene_graph_to_facts,
+    scene_universe,
+)
 from .training import (
     TrainConfig,
     TrainingExample,
@@ -69,7 +76,7 @@ from .training import (
     save_trace,
     train_mixture,
 )
-from .unify import EmbeddingStore, unify_program
+from .unify import EmbeddingStore, scene_vocabularies, unify_program
 
 
 def _config_hash(config: dict) -> str:
@@ -161,12 +168,12 @@ def cmd_reason(args) -> int:
 
     results = []
     for sg in scene_graphs:
-        facts, fact_values = scene_graph_to_facts(sg)
         unification = None
         scene_program = program
         if store is not None:
             scene_program, report = unify_program(
-                program, facts, store, similarity=args.similarity
+                program, scene_vocabularies(sg), store,
+                similarity=args.similarity,
             )
             unification = {
                 "substitutions": [
@@ -180,7 +187,10 @@ def cmd_reason(args) -> int:
                 ],
                 "unresolved": list(report.unresolved),
             }
-        graph = build_reasoning_graph(scene_program, facts)
+        facts, fact_values = scene_graph_to_facts(sg, scene_program)
+        graph = build_reasoning_graph(
+            scene_program, facts, universe=scene_universe(scene_program, [sg])
+        )
         weights = np.array(
             [r.weight for r in scene_program.rules], dtype=np.float64
         )
@@ -403,8 +413,10 @@ def _pipeline_predictions(
     inst: DeicticInstance, sg: SceneGraph, reasoner_cfg: ReasonerConfig, seed: int
 ) -> list[tuple]:
     program = template_rulegen(inst.structured)
-    facts, fact_values = scene_graph_to_facts(sg)
-    graph = build_reasoning_graph(program, facts)
+    facts, fact_values = scene_graph_to_facts(sg, program)
+    graph = build_reasoning_graph(
+        program, facts, universe=scene_universe(program, [sg])
+    )
     weights = np.array([r.weight for r in program.rules], dtype=np.float64)
     v_final = forward(
         graph, graph.initial_valuation(fact_values), weights, reasoner_cfg
@@ -681,6 +693,11 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Last resort: whatever is not mapped above is a bug, reported in
+        # one line rather than a traceback.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

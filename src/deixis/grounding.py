@@ -1,9 +1,13 @@
 """Rule grounding over scene constants and reasoning-graph construction.
 
-The grounding universe contains the constants that denote objects: constants
-in the first (subject) argument position of any fact plus constants matching
-``obj<N>``/``sgg<N>`` anywhere in the facts or the program. Attribute
-constants inside rules (``boat``, ``cyan``) are never substituted.
+The grounding universe holds the constants that denote objects. For a
+scene it is read off the scene's canonical rows (``scene.scene_universe``)
+and passed in, so the facts themselves can be cut down to the ones the
+program reads. A hand-built fact set may leave it out; it is then taken
+from the facts: the constants in first argument position, then the
+object-like constants (``obj<N>``/``sgg<N>``) elsewhere in the facts and in
+the program. Attribute constants inside rules (``boat``, ``cyan``) are
+never substituted.
 
 Grounding is bottom-up evaluation over atom presence (Abiteboul, Hull and
 Vianu, *Foundations of Databases*, the chapter on Datalog evaluation): the
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logic import Atom, FactSet, Predicate, Program, Term
-from .scene import OBJECT_CONSTANT
+from .scene import object_universe
 
 __all__ = [
     "GroundRule",
@@ -48,22 +52,14 @@ class GroundRule:
 
 
 def grounding_universe(program: Program, facts: FactSet) -> tuple[Term, ...]:
-    """Constants eligible for variable substitution, in first-seen order."""
-    seen: dict[Term, None] = {}
-    for fact in facts:
-        first = fact.args[0]
-        if first.is_constant:
-            seen.setdefault(first, None)
-    for fact in facts:
-        for t in fact.args[1:]:
-            if t.is_constant and OBJECT_CONSTANT.match(t.name):
-                seen.setdefault(t, None)
-    for rule in program:
-        for a in (rule.head, *rule.body):
-            for t in a.args:
-                if t.is_constant and OBJECT_CONSTANT.match(t.name):
-                    seen.setdefault(t, None)
-    return tuple(seen)
+    """Constants eligible for variable substitution, in first-seen order,
+    taken from a fact set: its first arguments, then its other object-like
+    arguments, then the object-like constants of the program."""
+    return object_universe(
+        program,
+        (fact.args[0].name for fact in facts),
+        (t.name for fact in facts for t in fact.args[1:]),
+    )
 
 
 class _Step:
@@ -169,6 +165,7 @@ def ground_program(
     program: Program,
     facts: FactSet,
     *,
+    universe: tuple[Term, ...] | None = None,
     max_groundings: int = 10**7,
 ) -> list[GroundRule]:
     """Ground the rule instances that can fire.
@@ -180,7 +177,8 @@ def ground_program(
     a recursive one re-joins until no new head appears. Each body atom
     joins, through a hash index on its bound argument positions, against
     the facts plus the heads derived so far, binding variables only to
-    constants of the grounding universe.
+    constants of the grounding ``universe``; without one, the universe is
+    :func:`grounding_universe` of the program and the facts.
 
     The result holds every instance over the universe whose body atoms are
     all present, ordered by rule index and then by join order: extensional
@@ -189,7 +187,8 @@ def ground_program(
     :class:`UniverseTooLarge` when a rule's candidate substitution space or
     an intermediate join exceeds ``max_groundings``.
     """
-    universe = grounding_universe(program, facts)
+    if universe is None:
+        universe = grounding_universe(program, facts)
     for rule_index, rule in enumerate(program):
         n_vars = len(rule.variables)
         if n_vars and len(universe) ** n_vars > max_groundings:
@@ -436,6 +435,7 @@ def build_reasoning_graph(
     program: Program,
     facts: FactSet,
     *,
+    universe: tuple[Term, ...] | None = None,
     max_groundings: int = 10**7,
 ) -> ReasoningGraph:
     """Ground a program against facts and pack it into a ReasoningGraph.
@@ -444,9 +444,12 @@ def build_reasoning_graph(
     rule touches it. The graph's rule-weight vector is sized by the
     program, so rules without groundings still own a weight slot, and the
     graph records whether the program defines target/1 even when no
-    target atom is derivable.
+    target atom is derivable. ``universe`` is passed to
+    :func:`ground_program`.
     """
-    ground_rules = ground_program(program, facts, max_groundings=max_groundings)
+    ground_rules = ground_program(
+        program, facts, universe=universe, max_groundings=max_groundings
+    )
     return ReasoningGraph(
         ground_rules,
         facts,

@@ -223,11 +223,9 @@ class FactSet:
         """Insert a ground atom; returns its position (existing or new)."""
         if not a.is_ground():
             raise ValueError(f"non-ground fact: {a}")
-        pos = self._index.get(a)
-        if pos is None:
-            pos = len(self._atoms)
+        pos = self._index.setdefault(a, len(self._atoms))
+        if pos == len(self._atoms):
             self._atoms.append(a)
-            self._index[a] = pos
         return pos
 
     def position(self, a: Atom) -> int:

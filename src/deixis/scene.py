@@ -2,8 +2,23 @@
 
 Objects become dense constants ``obj1, obj2, ...`` in listing order; each
 relation ``(s, e, o)`` becomes a binary fact ``e(obj_s, obj_o)`` and each
-object name becomes a unary-style fact ``type(obj_i, name)`` over the
-canonicalized name.
+object name becomes a fact ``type(obj_i, name)`` over the canonicalized
+name.
+
+One canonical pass per scene graph (:class:`SceneRows`, kept on the graph)
+turns it into plain rows ``(predicate, argument names, value)`` in fact
+order, without building a term or an atom. Three things are read off the
+rows:
+
+- the facts: :func:`scene_graph_to_facts` given a program builds atoms only
+  for the rows that one of its body atoms can read. This is magic sets
+  applied to the fact side (Bancilhon, Maier, Sagiv and Ullman, PODS 1986;
+  Beeri and Ramakrishnan, J. Logic Programming 1991);
+- the grounding universe: :func:`scene_universe` gives the constants a
+  variable may bind to, the same ones, in the same order, as the full
+  facts would give, so grounding builds the same rule instances from
+  fewer facts;
+- the unifier's vocabularies (``unify.scene_vocabularies``).
 """
 
 from __future__ import annotations
@@ -12,23 +27,31 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .logic import Atom, FactSet, Predicate, Term
+from .logic import Atom, FactSet, Predicate, Program, Term
 
 __all__ = [
     "Box",
     "SceneObject",
     "SceneRelation",
     "SceneGraph",
+    "SceneRows",
     "DanglingReference",
     "SchemaError",
     "OBJECT_CONSTANT",
     "canon_constant",
     "canon_predicate",
     "object_constants",
+    "object_universe",
+    "scene_rows",
+    "scene_universe",
     "scene_graph_to_facts",
+    "tagged_predicate",
     "parse_scene_graph",
     "load_scene_graphs",
 ]
@@ -56,7 +79,11 @@ class Box:
     h: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h)):
+        isfinite = math.isfinite
+        if not (
+            isfinite(self.x) and isfinite(self.y)
+            and isfinite(self.w) and isfinite(self.h)
+        ):
             raise ValueError(
                 f"box coordinates must be finite: "
                 f"x={self.x}, y={self.y}, w={self.w}, h={self.h}"
@@ -163,46 +190,195 @@ def canon_predicate(name: str) -> str:
 # the per-source objects of a scene-graph mixture.
 OBJECT_CONSTANT = re.compile(r"^(?:obj|sgg)\d+$")
 
+# Each distinct raw name is canonicalised once, and each distinct constant
+# or predicate is validated once; terms and predicates are immutable, so
+# facts share them.
+_canon_constant = lru_cache(maxsize=1 << 16)(canon_constant)
+_canon_predicate = lru_cache(maxsize=1 << 16)(canon_predicate)
+_term = lru_cache(maxsize=1 << 16)(Term)
+_predicate = lru_cache(maxsize=1 << 12)(Predicate)
+
+
+@lru_cache(maxsize=1 << 16)
+def _object_like(name: str) -> bool:
+    return OBJECT_CONSTANT.match(name) is not None
+
 
 def object_constants(sg: SceneGraph) -> dict[int, Term]:
     """Map object_id -> dense constant obj1, obj2, ... in listing order."""
-    return {o.object_id: Term(f"obj{i}") for i, o in enumerate(sg.objects, start=1)}
+    return {o.object_id: _term(f"obj{i}") for i, o in enumerate(sg.objects, start=1)}
 
 
-def scene_graph_to_facts(sg: SceneGraph) -> tuple[FactSet, np.ndarray]:
+def tagged_predicate(name: str) -> str:
+    """The name of a scene predicate in a mixture, where it carries a
+    trailing source argument: ``on`` -> ``onSgg``. Idempotent."""
+    return name if name.endswith("Sgg") else f"{name}Sgg"
+
+
+class SceneRows:
+    """The facts of one scene graph as plain rows, from one canonical pass.
+
+    ``rows`` holds ``(predicate, (subject, object), value)`` in fact order:
+    the relations in listing order, then one ``type`` row per object name.
+    A duplicate row keeps its first position and its maximum value, and a
+    name that canonicalises to nothing gives no row. Read off the rows:
+
+    ``leads``: the first arguments, in first-seen order;
+    ``later``: the object-like second arguments (``obj<N>``/``sgg<N>``, e.g.
+    an object named "Obj 5"), in first-seen order;
+    ``tag_at``: where a source tag first appears in ``later`` once every row
+    carries it as a trailing argument (after the first row's second
+    argument when that one is object-like);
+    ``predicates``: the predicate names;
+    ``attributes``: the second arguments that are not object-like.
+    """
+
+    __slots__ = ("rows", "leads", "later", "tag_at", "predicates", "attributes")
+
+    def __init__(self, sg: SceneGraph) -> None:
+        consts = {o.object_id: f"obj{i}" for i, o in enumerate(sg.objects, start=1)}
+        # (predicate, args) -> value; a repeat keeps its position and the
+        # larger value (values lie in [0, 1]).
+        values: dict[tuple[str, tuple[str, str]], float] = {}
+        later: dict[str, None] = {}
+        attributes: set[str] = set()
+        predicates: set[str] = set()
+        for rel in sg.relations:
+            name = _canon_predicate(rel.predicate)
+            if name:
+                second = consts[rel.object_id]
+                key = (name, (consts[rel.subject_id], second))
+                value = float(rel.confidence)
+                if values.get(key, -1.0) < value:
+                    values[key] = value
+                later[second] = None
+                predicates.add(name)
+        for o in sg.objects:
+            subject = consts[o.object_id]
+            for raw in o.names:
+                name = _canon_constant(raw)
+                if name:
+                    key = ("type", (subject, name))
+                    if values.get(key, -1.0) < 1.0:
+                        values[key] = 1.0
+                    if _object_like(name):
+                        later[name] = None
+                    else:
+                        attributes.add(name)
+                    predicates.add("type")
+        self.rows = tuple((name, args, v) for (name, args), v in values.items())
+        self.leads = tuple(dict.fromkeys(args[0] for _, args, _ in self.rows))
+        self.later = tuple(later)
+        self.tag_at = int(bool(self.rows) and _object_like(self.rows[0][1][1]))
+        self.predicates = frozenset(predicates)
+        self.attributes = frozenset(attributes)
+
+
+def scene_rows(sg: SceneGraph) -> SceneRows:
+    """The canonical rows of ``sg``, built on first use and kept on it."""
+    rows = sg.__dict__.get("_rows")
+    if rows is None:
+        rows = SceneRows(sg)
+        object.__setattr__(sg, "_rows", rows)
+    return rows
+
+
+def object_universe(
+    program: Program, leads: Iterable[str], later: Iterable[str]
+) -> tuple[Term, ...]:
+    """The constants that grounding may bind variables to, in first-seen
+    order: the names in ``leads`` (first argument positions), then the
+    object-like names among ``later`` (other argument positions), then the
+    object-like constants of ``program``. Attribute constants such as
+    ``boat`` stay out unless some fact puts them first."""
+    seen = dict.fromkeys(leads)
+    seen.update((name, None) for name in later if _object_like(name))
+    for rule in program.rules:
+        for a in (rule.head, *rule.body):
+            for t in a.args:
+                if t.is_constant and _object_like(t.name):
+                    seen.setdefault(t.name)
+    return tuple(_term(name) for name in seen)
+
+
+def scene_universe(
+    program: Program,
+    scene_graphs: Sequence[SceneGraph],
+    tags: Sequence[str] | None = None,
+) -> tuple[Term, ...]:
+    """The grounding universe of ``program`` over the full facts of
+    ``scene_graphs`` pooled in order, each tagged with its entry of ``tags``
+    when given, as :func:`scene_graph_to_facts` builds them without a
+    program. Read off the canonical rows, so no fact is built for it."""
+    scenes = [scene_rows(sg) for sg in scene_graphs]
+    leads = chain.from_iterable(s.leads for s in scenes)
+    if tags is None:
+        later = chain.from_iterable(s.later for s in scenes)
+    else:
+        later = chain.from_iterable(
+            (*s.later[: s.tag_at], tag, *s.later[s.tag_at :]) if s.rows else ()
+            for s, tag in zip(scenes, tags, strict=True)
+        )
+    return object_universe(program, leads, later)
+
+
+def _demand(program: Program) -> dict[tuple[str, int], list]:
+    """(predicate name, arity) -> the constant patterns of the program's
+    body atoms, each a tuple of (position, constant) pairs. A body atom
+    without constants reads every fact of its predicate, and its empty
+    pattern then stands alone."""
+    demand: dict[tuple[str, int], list] = {}
+    for rule in program.rules:
+        for a in rule.body:
+            pattern = tuple(
+                (i, t.name) for i, t in enumerate(a.args) if t.is_constant
+            )
+            patterns = demand.setdefault((a.predicate.name, a.predicate.arity), [])
+            if not pattern:
+                patterns[:] = [()]
+            elif patterns != [()]:
+                patterns.append(pattern)
+    return demand
+
+
+def scene_graph_to_facts(
+    sg: SceneGraph,
+    program: Program | None = None,
+    *,
+    tag: str | None = None,
+) -> tuple[FactSet, np.ndarray]:
     """Convert a scene graph to (facts, valuation).
 
     Relation facts come first, then one ``type`` fact per object name, in
     listing order. Valuations are the relations' carried confidences (1.0 by
     default) and 1.0 for type facts. Duplicate atoms keep their maximum
     confidence. Names that canonicalize to nothing are skipped.
+
+    With a ``tag``, every fact carries it as a trailing argument and its
+    predicate is renamed by :func:`tagged_predicate`, the form a mixture
+    uses. With a ``program``, only the facts that one of its body atoms can
+    read are built: same predicate and arity, and the atom's constants at
+    their positions (``type(Y,umbrella)`` reads only umbrella type facts).
+    They keep their relative order and values. Grounding reads nothing
+    else, so the program grounds to the same rule instances, as long as it
+    is given the universe of the full facts (:func:`scene_universe`).
     """
-    consts = object_constants(sg)
+    demand = None if program is None else _demand(program)
     facts = FactSet()
     values: list[float] = []
-
-    def put(a: Atom, v: float) -> None:
-        pos = facts.add(a)
-        if pos == len(values):
-            values.append(v)
-        else:
-            values[pos] = max(values[pos], v)
-
-    for rel in sg.relations:
-        name = canon_predicate(rel.predicate)
-        if not name:
-            continue
-        subj, obj = consts[rel.subject_id], consts[rel.object_id]
-        put(Atom(Predicate(name, 2), (subj, obj)), float(rel.confidence))
-
-    type_pred = Predicate("type", 2)
-    for o in sg.objects:
-        for raw in o.names:
-            name = canon_constant(raw)
-            if not name:
+    for name, args, value in scene_rows(sg).rows:
+        if tag is not None:
+            name, args = tagged_predicate(name), (*args, tag)
+        if demand is not None:
+            patterns = demand.get((name, len(args)))
+            if patterns is None or not any(
+                all(args[i] == c for i, c in p) for p in patterns
+            ):
                 continue
-            put(Atom(type_pred, (consts[o.object_id], Term(name))), 1.0)
-
+        facts.add(
+            Atom(_predicate(name, len(args)), tuple(_term(n) for n in args))
+        )
+        values.append(value)
     return facts, np.asarray(values, dtype=float)
 
 
@@ -210,12 +386,26 @@ def scene_graph_to_facts(sg: SceneGraph) -> tuple[FactSet, np.ndarray]:
 # JSON ingestion (tolerant of raw Visual Genome exports)
 
 
-def _as_names(entry: dict) -> tuple[str, ...]:
-    if "names" in entry:
-        return tuple(str(n) for n in entry["names"])
-    if "name" in entry:
-        return (str(entry["name"]),)
-    return ()
+def _integer(value) -> int:
+    """An integer JSON value: an int, an integral float or a numeric string;
+    never a bool."""
+    if value.__class__ is int:
+        return value
+    if isinstance(value, bool):
+        raise TypeError("a bool is not an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value} is not integral")
+    return int(value)
+
+
+def _strings(entry: dict, key: str, path: str) -> tuple[str, ...]:
+    """``entry[key]`` as a tuple of strings; a lone string is one entry."""
+    value = entry.get(key, [])
+    if isinstance(value, str):
+        return (value,)
+    if not isinstance(value, list) or not all(map(isinstance, value, repeat(str))):
+        raise SchemaError(f"{path}.{key}", "must be a string or an array of strings")
+    return tuple(value)
 
 
 def _field(entry: dict, key: str, path: str, convert=float, default=None):
@@ -228,62 +418,93 @@ def _field(entry: dict, key: str, path: str, convert=float, default=None):
     try:
         return convert(entry[key])
     except (TypeError, ValueError):
-        kind = "an integer" if convert is int else "a number"
-        raise SchemaError(f"{path}.{key}", f"must be {kind}") from None
+        kind = "an integer" if convert is _integer else "a number"
+        raise SchemaError(
+            f"{path}.{key}", f"must be {kind}, got {entry[key]!r}"
+        ) from None
 
 
-def _endpoint(entry: dict, key: str, path: str) -> int:
+def _endpoint(entry: dict, key: str, path: str) -> tuple[dict, str, str]:
+    """Where a relation endpoint is read: the dict, its key and its path."""
     nested = entry.get(key[:-3])  # "subject_id" -> nested "subject"
     if key not in entry and isinstance(nested, dict):
         inner = "object_id" if "object_id" in nested else "id"
-        return _field(nested, inner, f"{path}.{key[:-3]}", int)
-    return _field(entry, key, path, int)
+        return nested, inner, f"{path}.{key[:-3]}"
+    return entry, key, path
+
+
+def _array(data: dict, key: str, path: str) -> list:
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}.{key}", "must be an array")
+    return value
 
 
 def parse_scene_graph(data: dict, path: str = "$") -> SceneGraph:
     """Build a SceneGraph from a JSON dict.
 
-    Accepts ``relations`` or ``relationships``, ``names`` or ``name``, and
-    nested subject/object dicts; unknown keys are ignored. Malformed
-    entries raise :class:`SchemaError` naming their JSON path below
-    ``path``.
+    Accepts ``relations`` or ``relationships``, ``names`` or ``name`` (a
+    string or an array of strings), and nested subject/object dicts;
+    unknown keys are ignored. Malformed entries, duplicate object ids and
+    relation endpoints that name no object raise :class:`SchemaError`
+    naming their JSON path below ``path``.
     """
     if not isinstance(data, dict):
         raise SchemaError(path, "scene graph must be an object")
-    image_id = int(data.get("image_id", data.get("id", data.get("VG_image_id", 0))))
+    image_id = 0
+    for key in ("image_id", "id", "VG_image_id"):
+        if key in data:
+            image_id = _field(data, key, path, _integer)
+            break
     objects = []
-    for j, entry in enumerate(data.get("objects", ())):
+    seen: dict[int, str] = {}
+    for j, entry in enumerate(_array(data, "objects", path)):
         opath = f"{path}.objects[{j}]"
         if not isinstance(entry, dict):
             raise SchemaError(opath, "object must be a JSON object")
-        object_id = _field(entry, "object_id", opath, int)
-        x, y, w, h = (_field(entry, k, opath) for k in ("x", "y", "w", "h"))
+        object_id = _field(entry, "object_id", opath, _integer)
+        if object_id in seen:
+            raise SchemaError(
+                f"{opath}.object_id",
+                f"duplicate object_id {object_id} (also at {seen[object_id]})",
+            )
+        seen[object_id] = opath
+        x, y = _field(entry, "x", opath), _field(entry, "y", opath)
+        w, h = _field(entry, "w", opath), _field(entry, "h", opath)
         try:
             box = Box(x, y, w, h)
         except ValueError as exc:
             raise SchemaError(opath, f"invalid box: {exc}") from exc
+        names_key = "name" if "names" not in entry and "name" in entry else "names"
         objects.append(
             SceneObject(
                 object_id=object_id,
-                names=_as_names(entry),
+                names=_strings(entry, names_key, opath),
                 box=box,
-                synsets=tuple(str(s) for s in entry.get("synsets", ())),
+                synsets=_strings(entry, "synsets", opath),
             )
         )
     relations = []
     relations_key = "relations" if "relations" in data else "relationships"
-    for j, entry in enumerate(data.get(relations_key, ())):
+    for j, entry in enumerate(_array(data, relations_key, path)):
         rpath = f"{path}.{relations_key}[{j}]"
         if not isinstance(entry, dict):
             raise SchemaError(rpath, "relation must be a JSON object")
         predicate = _field(entry, "predicate", rpath, str)
-        subject_id = _endpoint(entry, "subject_id", rpath)
-        object_id = _endpoint(entry, "object_id", rpath)
+        endpoints = []
+        for key in ("subject_id", "object_id"):
+            where = _endpoint(entry, key, rpath)
+            endpoint = _field(*where, _integer)
+            if endpoint not in seen:
+                raise SchemaError(
+                    f"{where[2]}.{where[1]}", f"no object has object_id {endpoint}"
+                )
+            endpoints.append(endpoint)
         key = "confidence" if "confidence" in entry else "score"
         confidence = _field(entry, key, rpath, default=1.0)
         try:
             relations.append(
-                SceneRelation(subject_id, predicate, object_id, confidence)
+                SceneRelation(endpoints[0], predicate, endpoints[1], confidence)
             )
         except ValueError as exc:
             raise SchemaError(f"{rpath}.{key}", str(exc)) from exc

@@ -36,7 +36,13 @@ from .reasoner import (
     extract_targets,
     forward,
 )
-from .scene import Box, SceneGraph, scene_graph_to_facts
+from .scene import (
+    Box,
+    SceneGraph,
+    scene_graph_to_facts,
+    scene_universe,
+    tagged_predicate,
+)
 
 _BCE_EPS = 1e-7
 
@@ -125,10 +131,6 @@ class TrainConfig:
         return cls(**data)
 
 
-def _tag_predicate(name: str) -> str:
-    return name if name.endswith("Sgg") else f"{name}Sgg"
-
-
 def specialize_program(program: Program) -> Program:
     """Rewrite a single-source program to carry a source argument.
 
@@ -146,7 +148,7 @@ def specialize_program(program: Program) -> Program:
         if name == "target":
             name = "targetSgg"
         elif name not in intensional:
-            name = _tag_predicate(name)
+            name = tagged_predicate(name)
         return Atom(
             Predicate(name, atom_.predicate.arity + 1),
             atom_.args + (sg_var,),
@@ -234,32 +236,53 @@ class TrainingExample:
     scene_graphs: dict[str, SceneGraph]
 
 
+def _source_graphs(
+    sources: tuple[str, ...], scene_graphs: dict[str, SceneGraph]
+) -> list[SceneGraph]:
+    try:
+        return [scene_graphs[source] for source in sources]
+    except KeyError as exc:
+        raise KeyError(
+            f"example has no scene graph for source {exc.args[0]!r}"
+        ) from None
+
+
+def _source_tags(n_sources: int) -> list[str]:
+    return [f"sgg{k}" for k in range(1, n_sources + 1)]
+
+
 def mixture_facts(
     sources: tuple[str, ...],
     scene_graphs: dict[str, SceneGraph],
+    program: Program | None = None,
 ) -> tuple[FactSet, np.ndarray]:
-    """Tag each source's facts with its sggK constant and pool them."""
+    """Tag each source's facts with its sggK constant and pool them.
+
+    With a ``program`` (the specialized program plus its merge rules), only
+    the tagged facts that one of its body atoms can read are built, as in
+    :func:`scene.scene_graph_to_facts`.
+    """
+    graphs = _source_graphs(sources, scene_graphs)
     facts = FactSet()
     values: list[float] = []
-    for k, source in enumerate(sources, start=1):
-        try:
-            sg = scene_graphs[source]
-        except KeyError:
-            raise KeyError(f"example has no scene graph for source {source!r}")
-        tag = Term(f"sgg{k}")
-        source_facts, source_values = scene_graph_to_facts(sg)
-        for fact, value in zip(source_facts, source_values):
-            tagged = Atom(
-                Predicate(_tag_predicate(fact.predicate.name), fact.predicate.arity + 1),
-                fact.args + (tag,),
-            )
-            before = len(facts)
-            position = facts.add(tagged)
-            if len(facts) > before:
-                values.append(float(value))
-            else:
-                values[position] = max(values[position], float(value))
+    # Every fact ends in its source's tag, so sources never share a fact.
+    for sg, tag in zip(graphs, _source_tags(len(graphs))):
+        source_facts, source_values = scene_graph_to_facts(sg, program, tag=tag)
+        for fact in source_facts:
+            facts.add(fact)
+        values.extend(source_values.tolist())
     return facts, np.array(values, dtype=np.float64)
+
+
+def mixture_universe(
+    sources: tuple[str, ...],
+    scene_graphs: dict[str, SceneGraph],
+    program: Program,
+) -> tuple[Term, ...]:
+    """The grounding universe of ``program`` over the full pooled facts of
+    :func:`mixture_facts`, read off the sources' canonical rows."""
+    graphs = _source_graphs(sources, scene_graphs)
+    return scene_universe(program, graphs, _source_tags(len(graphs)))
 
 
 @dataclass
@@ -276,8 +299,12 @@ def _ground_example(task: MixtureTask, example: TrainingExample) -> _GroundedExa
     specialized = specialize_program(example.program)
     combined = Program(specialized.rules + task.program_template.rules)
     merge_offset = len(specialized.rules)
-    facts, fact_values = mixture_facts(task.sources, example.scene_graphs)
-    graph = build_reasoning_graph(combined, facts)
+    facts, fact_values = mixture_facts(task.sources, example.scene_graphs, combined)
+    graph = build_reasoning_graph(
+        combined,
+        facts,
+        universe=mixture_universe(task.sources, example.scene_graphs, combined),
+    )
     weights_base = np.array([r.weight for r in combined.rules], dtype=np.float64)
     merge_indices = np.arange(
         merge_offset, merge_offset + len(task.sources), dtype=np.int64

@@ -10,12 +10,13 @@ audit or veto it.
 from __future__ import annotations
 
 import re
+from collections.abc import Set
 from dataclasses import dataclass
 
 import numpy as np
 
-from .logic import Atom, FactSet, Predicate, Program, Rule, Term
-from .scene import OBJECT_CONSTANT, canon_constant
+from .logic import Atom, Predicate, Program, Rule, Term
+from .scene import OBJECT_CONSTANT, SceneGraph, canon_constant, scene_rows
 
 # Symbols with structural meaning are never rewritten: the rule scaffold
 # (target, condN), the typing predicate, positional helpers, and anything
@@ -168,39 +169,37 @@ class UnificationReport:
     unresolved: tuple[str, ...] = ()
 
 
-def _fact_vocabularies(facts: FactSet) -> tuple[set[str], set[str]]:
-    """Relation names and attribute constants available in the scene facts."""
-    relations: set[str] = set()
-    attributes: set[str] = set()
-    for fact in facts:
-        name = fact.predicate.name
-        if name in ("type", "typeSgg"):
-            pass
-        elif not _STRUCTURAL.match(name) and not name.endswith("Sgg"):
-            relations.add(name)
-        for arg in fact.args[1:]:
-            if not OBJECT_CONSTANT.match(arg.name):
-                attributes.add(arg.name)
-    return relations, attributes
+def scene_vocabularies(sg: SceneGraph) -> tuple[frozenset[str], frozenset[str]]:
+    """The relation names and attribute constants of a scene, read off its
+    canonical rows: every non-structural predicate, and every fact
+    argument after the first that is not an object constant."""
+    rows = scene_rows(sg)
+    relations = frozenset(
+        name for name in rows.predicates
+        if not _STRUCTURAL.match(name) and not name.endswith("Sgg")
+    )
+    return relations, rows.attributes
 
 
 def unify_program(
     program: Program,
-    facts: FactSet,
+    vocabularies: tuple[Set[str], Set[str]],
     store: EmbeddingStore,
     similarity: str = "cosine",
 ) -> tuple[Program, UnificationReport]:
     """Rewrite out-of-scene symbols in ``program`` to their nearest scene
     counterparts.
 
-    Relation predicates are matched against the scene's relation vocabulary
-    and attribute constants against its attribute vocabulary.  Structural
+    ``vocabularies`` is the scene's (relations, attributes) pair, as
+    :func:`scene_vocabularies` gives it.  Relation predicates are matched
+    against the relation vocabulary and attribute constants against the
+    attribute vocabulary.  Structural
     symbols (target, condN, type, variables, object constants) are left
     untouched.  Any symbol that cannot be resolved (no embedding, or an
     empty usable vocabulary) is reported as unresolved and kept verbatim,
     so unification is total: it never raises on ordinary inputs.
     """
-    relation_vocab, attribute_vocab = _fact_vocabularies(facts)
+    relation_vocab, attribute_vocab = vocabularies
     intensional = {p.name for p in program.intensional_predicates}
 
     substitutions: list[Substitution] = []
@@ -209,7 +208,7 @@ def unify_program(
     constant_map: dict[str, str] = {}
 
     def resolve(
-        name: str, vocab: set[str], cache: dict[str, str], kind: str
+        name: str, vocab: Set[str], cache: dict[str, str], kind: str
     ) -> str:
         if name in vocab:
             return name

@@ -11,6 +11,7 @@ import math
 import re
 
 _OBJECT = re.compile(r"^(obj|sgg)\d+$")
+_STRUCTURAL = re.compile(r"^(target|targetSgg|cond\d+|type|typeSgg|pos\d+)$")
 
 
 def oracle_universe(program, facts) -> list[str]:
@@ -29,6 +30,40 @@ def oracle_universe(program, facts) -> list[str]:
                 if not term.is_variable and _OBJECT.match(term.name):
                     names.add(term.name)
     return sorted(names)
+
+
+def reference_universe(program, facts) -> tuple[str, ...]:
+    """The grounding universe derived from a full fact set, in first-seen
+    order: constants in first argument position, then object-pattern
+    constants elsewhere in the facts, then those of the program."""
+    seen = {}
+    for fact in facts:
+        seen.setdefault(fact.args[0].name, None)
+    for fact in facts:
+        for term in fact.args[1:]:
+            if _OBJECT.match(term.name):
+                seen.setdefault(term.name, None)
+    for rule in program.rules:
+        for a in (rule.head, *rule.body):
+            for term in a.args:
+                if not term.is_variable and _OBJECT.match(term.name):
+                    seen.setdefault(term.name, None)
+    return tuple(seen)
+
+
+def reference_vocabularies(facts) -> tuple[set, set]:
+    """Relation names and attribute constants of a full fact set: every
+    non-structural predicate without the Sgg suffix, and every argument
+    after the first that is not object-pattern."""
+    relations, attributes = set(), set()
+    for fact in facts:
+        name = fact.predicate.name
+        if not _STRUCTURAL.match(name) and not name.endswith("Sgg"):
+            relations.add(name)
+        for term in fact.args[1:]:
+            if not _OBJECT.match(term.name):
+                attributes.add(term.name)
+    return relations, attributes
 
 
 def _substitute(a, binding):

@@ -47,7 +47,7 @@ from deixis.training import (
 )
 from deixis.unify import EmbeddingStore, unify_program
 
-from oracles import boolean_rounds
+from oracles import boolean_rounds, reference_vocabularies
 
 BOAT_PROGRAM = (
     "cond1(X):-on(X,Y),type(Y,boat).\n"
@@ -368,7 +368,7 @@ def test_criterion_08_unification_resolves_synonyms(data_dir):
                 facts.add(parse_program(f"d{i}x{j}(obj1,obj2).").rules[0].head)
             facts.add(parse_program("type(obj2,box).").rules[0].head)
             expected = (f"s{i}", f"t{i}", "predicate")
-        _, report = unify_program(program, facts, store)
+        _, report = unify_program(program, reference_vocabularies(facts), store)
         assert report.unresolved == ()
         assert expected in {
             (s.original, s.replacement, s.kind) for s in report.substitutions
@@ -379,7 +379,7 @@ def test_criterion_08_unification_resolves_synonyms(data_dir):
     facts = FactSet()
     facts.add(parse_program("on(obj1,obj2).").rules[0].head)
     facts.add(parse_program("type(obj2,barge).").rules[0].head)
-    rewritten, report = unify_program(program, facts, store)
+    rewritten, report = unify_program(program, reference_vocabularies(facts), store)
     assert ("boat", "barge") in {
         (s.original, s.replacement) for s in report.substitutions
     }

@@ -125,6 +125,77 @@ def test_reason_names_the_bad_scene_graph_path(tmp_path, data_dir, capsys):
     assert "$[0].objects[1].x" in capsys.readouterr().err
 
 
+def _one_scene(edit=None) -> dict:
+    scene = {
+        "image_id": 3,
+        "objects": [
+            {"object_id": 1, "names": ["man"], "x": 0, "y": 0, "w": 10, "h": 20},
+            {"object_id": 2, "names": ["boat"], "x": 0, "y": 20, "w": 40, "h": 10},
+        ],
+        "relations": [{"subject_id": 2, "predicate": "on", "object_id": 1}],
+    }
+    if edit is not None:
+        edit(scene)
+    return scene
+
+
+def _reason_on(tmp_path, scene) -> int:
+    path = tmp_path / "graphs.json"
+    path.write_text(json.dumps([scene]))
+    return main(
+        [
+            "reason", "--scene-graphs", str(path),
+            "--structured", '[["on", "man"]]',
+        ]
+    )
+
+
+def test_reason_reads_a_string_names_as_one_name(tmp_path, capsys):
+    scene = _one_scene(lambda g: g["objects"][0].update(names="man"))
+    assert _reason_on(tmp_path, scene) == 0
+    result = json.loads(capsys.readouterr().out)["results"][0]
+    assert [(p["object_id"], p["fallback"]) for p in result["predictions"]] == [
+        (2, False)
+    ]
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (lambda g: g["objects"][0].update(names=5), "$[0].objects[0].names: "),
+        (lambda g: g.update(image_id="abc"), "$[0].image_id: "),
+        (lambda g: g.update(image_id=1.7), "$[0].image_id: "),
+        (lambda g: g["relations"][0].update(object_id=9),
+         "$[0].relations[0].object_id: "),
+        (lambda g: g.update(relations=[
+            {"subject": {"object_id": 7}, "predicate": "on", "object_id": 1}
+        ]), "$[0].relations[0].subject.object_id: "),
+        (lambda g: g["objects"][1].update(object_id=1),
+         "$[0].objects[1].object_id: "),
+        (lambda g: g.update(objects={"1": g["objects"][0]}), "$[0].objects: "),
+    ],
+    ids=[
+        "names-number", "image-id-text", "image-id-fraction",
+        "dangling-endpoint", "dangling-nested-endpoint",
+        "duplicate-object-id", "objects-not-array",
+    ],
+)
+def test_reason_names_the_path_of_a_malformed_field(tmp_path, capsys, edit, where):
+    assert _reason_on(tmp_path, _one_scene(edit)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}")
+
+
+def test_unmapped_exception_is_one_line_exit_4(tmp_path, capsys, monkeypatch):
+    import deixis.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_reason", broken)
+    assert _reason_on(tmp_path, _one_scene()) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
 def test_reason_unifies_against_embeddings(tmp_path, data_dir, capsys):
     # The program says "boat"; the scene only has a barge.
     program = tmp_path / "program.lp"

@@ -11,6 +11,8 @@ from deixis.unify import (
     unify_program,
 )
 
+from oracles import reference_vocabularies
+
 
 def store_from(pairs) -> EmbeddingStore:
     dim = len(next(iter(pairs.values())))
@@ -109,7 +111,7 @@ def boat_to_barge_setup(data_dir):
 
 def test_unify_program_rewrites_unmatched_terms(data_dir):
     store, program, facts = boat_to_barge_setup(data_dir)
-    unified, report = unify_program(program, facts, store)
+    unified, report = unify_program(program, reference_vocabularies(facts), store)
     text = render_program(unified)
     assert "type(Y,barge)" in text
     assert "carrying" not in text and "holding(X,Y)" in text
@@ -122,8 +124,8 @@ def test_unify_program_rewrites_unmatched_terms(data_dir):
 
 def test_unify_program_is_idempotent(data_dir):
     store, program, facts = boat_to_barge_setup(data_dir)
-    once, _ = unify_program(program, facts, store)
-    twice, report = unify_program(once, facts, store)
+    once, _ = unify_program(program, reference_vocabularies(facts), store)
+    twice, report = unify_program(once, reference_vocabularies(facts), store)
     assert render_program(twice) == render_program(once)
     assert report.substitutions == ()
 
@@ -131,7 +133,7 @@ def test_unify_program_is_idempotent(data_dir):
 def test_unify_program_keeps_structural_predicates(data_dir):
     store, _, facts = boat_to_barge_setup(data_dir)
     program = parse_program("target(X):-cond1(X).\ncond1(X):-on(X,Y),type(Y,boat).")
-    unified, _ = unify_program(program, facts, store)
+    unified, _ = unify_program(program, reference_vocabularies(facts), store)
     names = {r.head.predicate.name for r in unified.rules}
     assert names == {"target", "cond1"}
 
@@ -140,6 +142,6 @@ def test_unify_program_degrades_to_unresolved():
     store = store_from({"boat": [1.0, 0.0]})  # no scene vocabulary at all
     program = parse_program("target(X):-on(X,Y),type(Y,boat).")
     facts = FactSet([atom("on", "obj1", "obj2"), atom("type", "obj2", "xyzzy")])
-    unified, report = unify_program(program, facts, store)
+    unified, report = unify_program(program, reference_vocabularies(facts), store)
     assert "boat" in report.unresolved
     assert "type(Y,boat)" in render_program(unified)  # left as written
