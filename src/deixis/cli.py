@@ -332,10 +332,13 @@ def _instance_examples(
 
 def cmd_train(args) -> int:
     instances = load_deivg(args.data)
-    graphs = load_scene_graphs(args.scene_graphs)
+    total_needed = args.train_n + args.val_n + args.test_n
+    # Every graph is checked; only those of the split's images are built.
+    graphs = load_scene_graphs(
+        args.scene_graphs, {inst.image_id for inst in instances[:total_needed]}
+    )
     graphs_by_image = {sg.image_id: sg for sg in graphs}
 
-    total_needed = args.train_n + args.val_n + args.test_n
     if len(instances) < total_needed:
         raise ValueError(
             f"need {total_needed} instances for the "
@@ -439,9 +442,11 @@ def cmd_eval(args) -> int:
                 f"data file ({len(instances)} instances)"
             )
     elif args.scene_graphs:
-        graphs_by_image = {
-            sg.image_id: sg for sg in load_scene_graphs(args.scene_graphs)
-        }
+        # Every graph is checked; only those of the instances are built.
+        graphs = load_scene_graphs(
+            args.scene_graphs, {inst.image_id for inst in instances}
+        )
+        graphs_by_image = {sg.image_id: sg for sg in graphs}
         reasoner_cfg = ReasonerConfig(
             gamma=args.gamma, steps=args.steps, rng_seed=args.seed
         )

@@ -373,6 +373,12 @@ class ReasoningGraph:
 
         # Which conjunction each body slot belongs to.
         self.slot_conj = np.repeat(np.arange(self.n_conj), self.body_counts)
+        # The reduceat plan over body values padded with one sentinel slot
+        # past the end: reduceat cannot express an empty segment, so an
+        # empty body (a weighted program fact) starts at the sentinel. The
+        # sentinel also pads the final segment, where it is a no-op.
+        self.body_reduce_starts = self.body_starts.copy()
+        self.body_reduce_starts[self.body_counts == 0] = self.body_atoms.size
 
         # Conjunctions grouped by head atom for the disjunctive update.
         order = np.argsort(self.conj_head, kind="stable")

@@ -21,6 +21,7 @@ loss with respect to the rule weights and the initial valuation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +62,10 @@ class ReasonerConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(
+                f"gamma must be positive and finite, got {self.gamma}"
+            )
         if self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps}")
         if not 0.0 <= self.target_threshold <= 1.0:
@@ -129,44 +132,13 @@ def _segment_softmax(
     return shifted / np.repeat(totals, sizes)
 
 
-def _segment_products(
-    body_vals: np.ndarray, graph: ReasoningGraph
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-conjunction body products, zero counts, and nonzero products.
-
-    Empty bodies (weighted program facts) multiply out to 1.0.  The zero
-    count and the product over nonzero factors feed the leave-one-out
-    gradient of the product, which stays exact even when factors are zero.
-
-    reduceat cannot express empty segments directly, so empty bodies are
-    pointed at a sentinel slot appended past the end of the flat body array
-    (1.0 for products, 0.0 for counts).  The sentinel also pads the final
-    segment, where it is a no-op for both reductions.
-    """
-    n_conj = graph.n_conj
-    if n_conj == 0:
-        empty = np.zeros(0, dtype=np.float64)
-        return empty, empty.copy(), empty.copy()
-    starts = graph.body_starts.copy()
-    starts[graph.body_counts == 0] = body_vals.size
-
-    zero_mask = body_vals == 0.0
-    nonzero_vals = np.where(zero_mask, 1.0, body_vals)
-
-    products = np.multiply.reduceat(np.append(body_vals, 1.0), starts)
-    zero_counts = np.add.reduceat(
-        np.append(zero_mask.astype(np.float64), 0.0), starts
-    )
-    nonzero_products = np.multiply.reduceat(np.append(nonzero_vals, 1.0), starts)
-    return products, zero_counts, nonzero_products
-
-
 @dataclass
 class _RoundRecord:
     """Intermediates of one message-passing round, kept for backward()."""
 
     atoms_prev: np.ndarray
     conj_prev: np.ndarray
+    body_vals: np.ndarray
     products: np.ndarray
     conj_new: np.ndarray
     incoming: np.ndarray
@@ -236,9 +208,13 @@ def forward(
         conj_prev = conjs
 
         # Soft AND: each conjunction scores the product of its body atoms
-        # under the previous valuation, folded into its running value.
-        body_vals = atoms_prev[graph.body_atoms]
-        products, _, _ = _segment_products(body_vals, graph)
+        # under the previous valuation, folded into its running value. The
+        # body values end in the sentinel 1.0 that the graph's reduceat plan
+        # points empty bodies (weighted program facts) at.
+        body_vals = np.empty(graph.body_atoms.size + 1, dtype=np.float64)
+        np.take(atoms_prev, graph.body_atoms, out=body_vals[:-1])
+        body_vals[-1] = 1.0
+        products = np.multiply.reduceat(body_vals, graph.body_reduce_starts)
         conj_new = _pair_softor(conj_prev, products, gamma)
 
         # Soft OR: each head atom folds in the weighted disjunction of its
@@ -263,6 +239,7 @@ def forward(
                 _RoundRecord(
                     atoms_prev=atoms_prev,
                     conj_prev=conj_prev,
+                    body_vals=body_vals,
                     products=products,
                     conj_new=conj_new,
                     incoming=incoming,
@@ -364,15 +341,18 @@ def backward(
             d_products = d_conj_new * share_p
 
             # products[i] = prod of body values; leave-one-out gradient via
-            # zero counting so zero-valued factors stay differentiable.
-            body_vals = rec.atoms_prev[graph.body_atoms]
-            _, zero_counts, nonzero_products = _segment_products(
-                body_vals, graph
-            )
-            zc = zero_counts[graph.slot_conj]
-            pnz = nonzero_products[graph.slot_conj]
-            zero_mask = body_vals == 0.0
-            safe = np.where(zero_mask, 1.0, body_vals)
+            # the zero count and the product over nonzero factors, so
+            # zero-valued factors stay differentiable. The padded values
+            # come from the tape; the sentinel 1.0 counts as no zero.
+            zero_mask = rec.body_vals == 0.0
+            nonzero_vals = np.where(zero_mask, 1.0, rec.body_vals)
+            starts = graph.body_reduce_starts
+            zc = np.add.reduceat(zero_mask.astype(np.float64), starts)[
+                graph.slot_conj
+            ]
+            pnz = np.multiply.reduceat(nonzero_vals, starts)[graph.slot_conj]
+            zero_mask = zero_mask[:-1]
+            safe = nonzero_vals[:-1]
             loo = np.where(
                 zero_mask,
                 np.where(zc == 1.0, pnz, 0.0),

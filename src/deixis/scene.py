@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -69,6 +69,19 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+def _check_box(x: float, y: float, w: float, h: float) -> None:
+    """Raise ValueError unless (x, y, w, h) is a valid box."""
+    isfinite = math.isfinite
+    if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
+        raise ValueError(
+            f"box coordinates must be finite: x={x}, y={y}, w={w}, h={h}"
+        )
+    if w <= 0 or h <= 0:
+        raise ValueError(f"box size must be positive: w={w}, h={h}")
+    if x < 0 or y < 0:
+        raise ValueError(f"box corner must be non-negative: x={x}, y={y}")
+
+
 @dataclass(frozen=True, order=True)
 class Box:
     """Axis-aligned pixel box with top-left corner (x, y) and size (w, h)."""
@@ -79,19 +92,7 @@ class Box:
     h: float
 
     def __post_init__(self):
-        isfinite = math.isfinite
-        if not (
-            isfinite(self.x) and isfinite(self.y)
-            and isfinite(self.w) and isfinite(self.h)
-        ):
-            raise ValueError(
-                f"box coordinates must be finite: "
-                f"x={self.x}, y={self.y}, w={self.w}, h={self.h}"
-            )
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box size must be positive: w={self.w}, h={self.h}")
-        if self.x < 0 or self.y < 0:
-            raise ValueError(f"box corner must be non-negative: x={self.x}, y={self.y}")
+        _check_box(self.x, self.y, self.w, self.h)
 
     @property
     def area(self) -> float:
@@ -126,6 +127,13 @@ class SceneObject:
         return self.names[0] if self.names else ""
 
 
+def _clip_confidence(c: float) -> float:
+    """A finite confidence clipped to [0, 1]; ValueError if not finite."""
+    if not math.isfinite(c):
+        raise ValueError(f"relation confidence must be finite, got {c}")
+    return min(max(c, 0.0), 1.0)
+
+
 @dataclass(frozen=True)
 class SceneRelation:
     """A directed relation; a finite confidence is clipped to [0, 1]."""
@@ -138,9 +146,7 @@ class SceneRelation:
     def __post_init__(self):
         c = self.confidence
         if not 0.0 <= c <= 1.0:
-            if not math.isfinite(c):
-                raise ValueError(f"relation confidence must be finite, got {c}")
-            object.__setattr__(self, "confidence", min(max(c, 0.0), 1.0))
+            object.__setattr__(self, "confidence", _clip_confidence(c))
 
 
 @dataclass(frozen=True)
@@ -384,6 +390,17 @@ def scene_graph_to_facts(
 
 # ---------------------------------------------------------------------------
 # JSON ingestion (tolerant of raw Visual Genome exports)
+#
+# One reader checks every graph and builds only the ones asked for. Each
+# field is first read by an exact-type test for the form that corpus
+# writers emit: an int or float coordinate or confidence, an int id, a str
+# predicate, a list of str names. Any other form takes the slow branch
+# (the helpers below), which accepts the lenient forms or raises naming the
+# JSON path; a path is formatted only there.
+
+
+# The exact types of a JSON number; a bool is neither.
+_NUMBER = (float, int)
 
 
 def _integer(value) -> int:
@@ -424,13 +441,30 @@ def _field(entry: dict, key: str, path: str, convert=float, default=None):
         ) from None
 
 
-def _endpoint(entry: dict, key: str, path: str) -> tuple[dict, str, str]:
-    """Where a relation endpoint is read: the dict, its key and its path."""
+def _image_id(data: dict, path: str) -> int:
+    """The graph's image id: ``image_id``, ``id`` or ``VG_image_id``, else 0."""
+    for key in ("image_id", "id", "VG_image_id"):
+        if key in data:
+            return _field(data, key, path, _integer)
+    return 0
+
+
+def _endpoint(entry: dict, key: str, path: str, known: dict) -> int:
+    """A relation endpoint: ``entry[key]``, or the ``object_id`` (or ``id``)
+    of a nested ``subject``/``object`` dict; it must name a known object."""
     nested = entry.get(key[:-3])  # "subject_id" -> nested "subject"
     if key not in entry and isinstance(nested, dict):
-        inner = "object_id" if "object_id" in nested else "id"
-        return nested, inner, f"{path}.{key[:-3]}"
-    return entry, key, path
+        entry, path = nested, f"{path}.{key[:-3]}"
+        key = "object_id" if "object_id" in nested else "id"
+    endpoint = _field(entry, key, path, _integer)
+    if endpoint not in known:
+        raise SchemaError(f"{path}.{key}", f"no object has object_id {endpoint}")
+    return endpoint
+
+
+def _at(path: str, array: str, j: int) -> str:
+    """The JSON path of entry ``j`` of an array below ``path``."""
+    return f"{path}.{array}[{j}]"
 
 
 def _array(data: dict, key: str, path: str) -> list:
@@ -438,6 +472,90 @@ def _array(data: dict, key: str, path: str) -> list:
     if not isinstance(value, list):
         raise SchemaError(f"{path}.{key}", "must be an array")
     return value
+
+
+def _read_scene_graph(
+    data: dict, path: str, image_ids: Container[int] | None
+) -> SceneGraph | None:
+    """Check one scene graph; build it when ``image_ids`` is None or holds
+    its image id, and return None otherwise."""
+    if not isinstance(data, dict):
+        raise SchemaError(path, "scene graph must be an object")
+    image_id = data.get("image_id")
+    if image_id.__class__ is not int:
+        image_id = _image_id(data, path)
+    build = image_ids is None or image_id in image_ids
+    objects = []
+    seen: dict[int, int] = {}  # object_id -> its index in "objects"
+    for j, entry in enumerate(_array(data, "objects", path)):
+        if not isinstance(entry, dict):
+            raise SchemaError(_at(path, "objects", j), "object must be a JSON object")
+        object_id = entry.get("object_id")
+        if object_id.__class__ is not int:
+            object_id = _field(entry, "object_id", _at(path, "objects", j), _integer)
+        if object_id in seen:
+            raise SchemaError(
+                _at(path, "objects", j) + ".object_id",
+                f"duplicate object_id {object_id} "
+                f"(also at {_at(path, 'objects', seen[object_id])})",
+            )
+        seen[object_id] = j
+        x, y, w, h = entry.get("x"), entry.get("y"), entry.get("w"), entry.get("h")
+        if (
+            x.__class__ in _NUMBER and y.__class__ in _NUMBER
+            and w.__class__ in _NUMBER and h.__class__ in _NUMBER
+        ):
+            x, y, w, h = float(x), float(y), float(w), float(h)
+        else:
+            where = _at(path, "objects", j)
+            x, y = _field(entry, "x", where), _field(entry, "y", where)
+            w, h = _field(entry, "w", where), _field(entry, "h", where)
+        try:
+            # Only checked (box is None) when the graph is not built.
+            box = Box(x, y, w, h) if build else _check_box(x, y, w, h)
+        except ValueError as exc:
+            raise SchemaError(_at(path, "objects", j), f"invalid box: {exc}") from exc
+        names = entry.get("names")
+        if names.__class__ is not list or not all(map(isinstance, names, repeat(str))):
+            key = "name" if "names" not in entry and "name" in entry else "names"
+            names = _strings(entry, key, _at(path, "objects", j))
+        synsets = entry.get("synsets")
+        if synsets.__class__ is not list or not all(
+            map(isinstance, synsets, repeat(str))
+        ):
+            synsets = _strings(entry, "synsets", _at(path, "objects", j))
+        if build:
+            objects.append(SceneObject(object_id, tuple(names), box, tuple(synsets)))
+    relations = []
+    array = "relations" if "relations" in data else "relationships"
+    for j, entry in enumerate(_array(data, array, path)):
+        if not isinstance(entry, dict):
+            raise SchemaError(_at(path, array, j), "relation must be a JSON object")
+        predicate = entry.get("predicate")
+        if predicate.__class__ is not str:
+            predicate = _field(entry, "predicate", _at(path, array, j), str)
+        subject = entry.get("subject_id")
+        if subject.__class__ is not int or subject not in seen:
+            subject = _endpoint(entry, "subject_id", _at(path, array, j), seen)
+        object_ = entry.get("object_id")
+        if object_.__class__ is not int or object_ not in seen:
+            object_ = _endpoint(entry, "object_id", _at(path, array, j), seen)
+        key = "confidence" if "confidence" in entry else "score"
+        confidence = entry.get(key, 1.0)
+        if confidence.__class__ in _NUMBER:
+            confidence = float(confidence)
+        else:
+            confidence = _field(entry, key, _at(path, array, j), default=1.0)
+        if not 0.0 <= confidence <= 1.0:
+            try:
+                confidence = _clip_confidence(confidence)
+            except ValueError as exc:
+                raise SchemaError(f"{_at(path, array, j)}.{key}", str(exc)) from exc
+        if build:
+            relations.append(SceneRelation(subject, predicate, object_, confidence))
+    if not build:
+        return None
+    return SceneGraph(image_id, tuple(objects), tuple(relations))
 
 
 def parse_scene_graph(data: dict, path: str = "$") -> SceneGraph:
@@ -449,66 +567,7 @@ def parse_scene_graph(data: dict, path: str = "$") -> SceneGraph:
     relation endpoints that name no object raise :class:`SchemaError`
     naming their JSON path below ``path``.
     """
-    if not isinstance(data, dict):
-        raise SchemaError(path, "scene graph must be an object")
-    image_id = 0
-    for key in ("image_id", "id", "VG_image_id"):
-        if key in data:
-            image_id = _field(data, key, path, _integer)
-            break
-    objects = []
-    seen: dict[int, str] = {}
-    for j, entry in enumerate(_array(data, "objects", path)):
-        opath = f"{path}.objects[{j}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(opath, "object must be a JSON object")
-        object_id = _field(entry, "object_id", opath, _integer)
-        if object_id in seen:
-            raise SchemaError(
-                f"{opath}.object_id",
-                f"duplicate object_id {object_id} (also at {seen[object_id]})",
-            )
-        seen[object_id] = opath
-        x, y = _field(entry, "x", opath), _field(entry, "y", opath)
-        w, h = _field(entry, "w", opath), _field(entry, "h", opath)
-        try:
-            box = Box(x, y, w, h)
-        except ValueError as exc:
-            raise SchemaError(opath, f"invalid box: {exc}") from exc
-        names_key = "name" if "names" not in entry and "name" in entry else "names"
-        objects.append(
-            SceneObject(
-                object_id=object_id,
-                names=_strings(entry, names_key, opath),
-                box=box,
-                synsets=_strings(entry, "synsets", opath),
-            )
-        )
-    relations = []
-    relations_key = "relations" if "relations" in data else "relationships"
-    for j, entry in enumerate(_array(data, relations_key, path)):
-        rpath = f"{path}.{relations_key}[{j}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(rpath, "relation must be a JSON object")
-        predicate = _field(entry, "predicate", rpath, str)
-        endpoints = []
-        for key in ("subject_id", "object_id"):
-            where = _endpoint(entry, key, rpath)
-            endpoint = _field(*where, _integer)
-            if endpoint not in seen:
-                raise SchemaError(
-                    f"{where[2]}.{where[1]}", f"no object has object_id {endpoint}"
-                )
-            endpoints.append(endpoint)
-        key = "confidence" if "confidence" in entry else "score"
-        confidence = _field(entry, key, rpath, default=1.0)
-        try:
-            relations.append(
-                SceneRelation(endpoints[0], predicate, endpoints[1], confidence)
-            )
-        except ValueError as exc:
-            raise SchemaError(f"{rpath}.{key}", str(exc)) from exc
-    return SceneGraph(image_id, tuple(objects), tuple(relations))
+    return _read_scene_graph(data, path, None)
 
 
 def scene_graph_to_dict(sg: SceneGraph) -> dict:
@@ -535,12 +594,24 @@ def scene_graph_to_dict(sg: SceneGraph) -> dict:
     }
 
 
-def load_scene_graphs(path: str) -> list[SceneGraph]:
-    """Load one scene graph or a list of them from a JSON file."""
+def load_scene_graphs(
+    path: str, image_ids: Container[int] | None = None
+) -> list[SceneGraph]:
+    """Load one scene graph or a list of them from a JSON file.
+
+    Every graph is checked, in file order, and the first malformed one
+    raises :class:`SchemaError` naming its JSON path. Only the graphs whose
+    image id is in ``image_ids`` are built and returned, in file order; all
+    of them when ``image_ids`` is None.
+    """
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
     if isinstance(data, dict):
-        return [parse_scene_graph(data)]
-    if not isinstance(data, list):
+        graphs = [_read_scene_graph(data, "$", image_ids)]
+    elif isinstance(data, list):
+        graphs = [
+            _read_scene_graph(d, f"$[{i}]", image_ids) for i, d in enumerate(data)
+        ]
+    else:
         raise SchemaError("$", "top level must be a scene graph or an array of them")
-    return [parse_scene_graph(d, f"$[{i}]") for i, d in enumerate(data)]
+    return [sg for sg in graphs if sg is not None]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,8 +97,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
@@ -110,9 +111,9 @@ class TrainConfig:
             raise ValueError(
                 f"rmsprop_alpha must be in [0, 1), got {self.rmsprop_alpha}"
             )
-        if not self.rmsprop_eps > 0:
+        if not 0 < self.rmsprop_eps < math.inf:
             raise ValueError(
-                f"rmsprop_eps must be positive, got {self.rmsprop_eps}"
+                f"rmsprop_eps must be positive and finite, got {self.rmsprop_eps}"
             )
 
     def to_dict(self) -> dict:
@@ -185,11 +186,21 @@ def make_merge_rules(n_sources: int) -> tuple[Rule, ...]:
 
 @dataclass
 class MixtureTask:
-    """The named sources, their merge rules, and the parameters theta."""
+    """The named sources, their merge rules, and the parameters theta.
+
+    A task grounds each example once (:meth:`grounded`) and keeps the
+    result, so training and every evaluation of a run share one grounding
+    per example. Grounding does not depend on theta.
+    """
 
     sources: tuple[str, ...]
     program_template: Program
     params: np.ndarray
+    # id(example) -> (example, its grounding). The entry holds the example,
+    # so its id cannot be reused by another object while it is cached.
+    _groundings: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.sources = tuple(self.sources)
@@ -214,6 +225,14 @@ class MixtureTask:
     @property
     def weights(self) -> np.ndarray:
         return sigmoid(self.params)
+
+    def grounded(self, example: "TrainingExample") -> "_GroundedExample":
+        """The grounding of ``example`` under this task, built on first use."""
+        entry = self._groundings.get(id(example))
+        if entry is None:
+            entry = (example, _ground_example(self, example))
+            self._groundings[id(example)] = entry
+        return entry[1]
 
 
 def make_mixture_task(sources, init: float = 0.0) -> MixtureTask:
@@ -395,7 +414,7 @@ def evaluate_mixture(
         rng = np.random.default_rng(reasoner_cfg.rng_seed)
     instances = []
     for example in data:
-        grounded = _ground_example(task, example)
+        grounded = task.grounded(example)
         weights = grounded.weights_base.copy()
         weights[grounded.merge_indices] = sigmoid(theta)
         v_final = forward(grounded.graph, grounded.v0, weights, reasoner_cfg)
@@ -425,7 +444,8 @@ def train_mixture(
     label the extracted targets by IoU against the answers, backpropagate
     the BCE loss to the merge-rule weights, and update theta.  Validation
     mAP is recorded at the start, at the end, and every ``val_every`` steps
-    when positive.  Groundings are cached per example across steps.
+    when positive.  Each example is grounded once per task
+    (:meth:`MixtureTask.grounded`).
     """
     if not data:
         raise ValueError("training data is empty")
@@ -433,12 +453,6 @@ def train_mixture(
     rng = np.random.default_rng(cfg.seed)
     theta = task.params.astype(np.float64).copy()
     square_avg = np.zeros_like(theta)
-    cache: dict[int, _GroundedExample] = {}
-
-    def grounded_for(index: int) -> _GroundedExample:
-        if index not in cache:
-            cache[index] = _ground_example(task, data[index])
-        return cache[index]
 
     def validation_map() -> float | None:
         if val_data is None:
@@ -458,7 +472,7 @@ def train_mixture(
         for _ in range(cfg.batch_size):
             index = int(rng.integers(len(data)))
             loss, grad = _example_loss_and_grad(
-                grounded_for(index), theta, reasoner_cfg,
+                task.grounded(data[index]), theta, reasoner_cfg,
                 cfg.iou_threshold, rng,
             )
             batch_loss += loss

@@ -211,3 +211,138 @@ def finite_difference(fn, theta, eps: float = 1e-5):
         lo[i] -= eps
         grad.append((fn(hi) - fn(lo)) / (2.0 * eps))
     return grad
+
+
+# ---------------------------------------------------------------------------
+# Scene-graph JSON: the parser as it was before ingestion learned to skip
+# building unreferenced graphs. It builds every graph it checks, with plain
+# per-field conversions and eagerly formatted paths.
+
+
+def _ref_integer(value) -> int:
+    if value.__class__ is int:
+        return value
+    if isinstance(value, bool):
+        raise TypeError("a bool is not an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value} is not integral")
+    return int(value)
+
+
+def _ref_field(entry, key, path, convert=float, default=None):
+    from deixis.scene import SchemaError
+
+    if key not in entry:
+        if default is None:
+            raise SchemaError(f"{path}.{key}", f"missing required key {key!r}")
+        return default
+    try:
+        return convert(entry[key])
+    except (TypeError, ValueError):
+        kind = "an integer" if convert is _ref_integer else "a number"
+        raise SchemaError(
+            f"{path}.{key}", f"must be {kind}, got {entry[key]!r}"
+        ) from None
+
+
+def _ref_strings(entry, key, path) -> tuple:
+    from deixis.scene import SchemaError
+
+    value = entry.get(key, [])
+    if isinstance(value, str):
+        return (value,)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise SchemaError(f"{path}.{key}", "must be a string or an array of strings")
+    return tuple(value)
+
+
+def _ref_array(data, key, path) -> list:
+    from deixis.scene import SchemaError
+
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}.{key}", "must be an array")
+    return value
+
+
+def reference_parse_scene_graph(data, path: str = "$"):
+    """Check and build one scene graph from its JSON dict."""
+    from deixis.scene import (
+        Box, SceneGraph, SceneObject, SceneRelation, SchemaError,
+    )
+
+    if not isinstance(data, dict):
+        raise SchemaError(path, "scene graph must be an object")
+    image_id = 0
+    for key in ("image_id", "id", "VG_image_id"):
+        if key in data:
+            image_id = _ref_field(data, key, path, _ref_integer)
+            break
+    objects = []
+    seen = {}
+    for j, entry in enumerate(_ref_array(data, "objects", path)):
+        opath = f"{path}.objects[{j}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(opath, "object must be a JSON object")
+        object_id = _ref_field(entry, "object_id", opath, _ref_integer)
+        if object_id in seen:
+            raise SchemaError(
+                f"{opath}.object_id",
+                f"duplicate object_id {object_id} (also at {seen[object_id]})",
+            )
+        seen[object_id] = opath
+        x, y = _ref_field(entry, "x", opath), _ref_field(entry, "y", opath)
+        w, h = _ref_field(entry, "w", opath), _ref_field(entry, "h", opath)
+        try:
+            box = Box(x, y, w, h)
+        except ValueError as exc:
+            raise SchemaError(opath, f"invalid box: {exc}") from exc
+        names_key = "name" if "names" not in entry and "name" in entry else "names"
+        objects.append(
+            SceneObject(
+                object_id=object_id,
+                names=_ref_strings(entry, names_key, opath),
+                box=box,
+                synsets=_ref_strings(entry, "synsets", opath),
+            )
+        )
+    relations = []
+    relations_key = "relations" if "relations" in data else "relationships"
+    for j, entry in enumerate(_ref_array(data, relations_key, path)):
+        rpath = f"{path}.{relations_key}[{j}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(rpath, "relation must be a JSON object")
+        predicate = _ref_field(entry, "predicate", rpath, str)
+        endpoints = []
+        for key in ("subject_id", "object_id"):
+            holder, inner, where = entry, key, rpath
+            nested = entry.get(key[:-3])
+            if key not in entry and isinstance(nested, dict):
+                holder, where = nested, f"{rpath}.{key[:-3]}"
+                inner = "object_id" if "object_id" in nested else "id"
+            endpoint = _ref_field(holder, inner, where, _ref_integer)
+            if endpoint not in seen:
+                raise SchemaError(
+                    f"{where}.{inner}", f"no object has object_id {endpoint}"
+                )
+            endpoints.append(endpoint)
+        key = "confidence" if "confidence" in entry else "score"
+        confidence = _ref_field(entry, key, rpath, default=1.0)
+        try:
+            relations.append(
+                SceneRelation(endpoints[0], predicate, endpoints[1], confidence)
+            )
+        except ValueError as exc:
+            raise SchemaError(f"{rpath}.{key}", str(exc)) from exc
+    return SceneGraph(image_id, tuple(objects), tuple(relations))
+
+
+def reference_scene_graphs(data) -> list:
+    """Every graph of a loaded scene-graph file, checked and built in order."""
+    from deixis.scene import SchemaError
+
+    if isinstance(data, dict):
+        return [reference_parse_scene_graph(data)]
+    if not isinstance(data, list):
+        raise SchemaError("$", "top level must be a scene graph or an array of them")
+    return [reference_parse_scene_graph(d, f"$[{i}]") for i, d in enumerate(data)]

@@ -432,6 +432,86 @@ def test_train_split_too_large_is_input_error(tmp_path, graphs_file, capsys):
     assert "split" in capsys.readouterr().err
 
 
+def _synth_instances(tmp_path, graphs_file, n: int) -> Path:
+    data = tmp_path / "data.json"
+    assert main(
+        [
+            "synth", "--kind", "deivg", "--k", "1", "--n", str(n),
+            "--seed", "3", "--scene-graphs", str(graphs_file),
+            "--output", str(data),
+        ]
+    ) == 0
+    return data
+
+
+def _break_an_unused_graph(tmp_path, graphs_file, data) -> tuple[Path, str]:
+    """A copy of the corpus in which one graph that no instance of ``data``
+    uses lacks a box coordinate, and the JSON path of the gap."""
+    graphs = json.loads(graphs_file.read_text())
+    used = {inst.image_id for inst in load_deivg(str(data))}
+    index = next(
+        i for i, g in enumerate(graphs)
+        if g["image_id"] not in used and g["objects"]
+    )
+    del graphs[index]["objects"][0]["x"]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(graphs))
+    return path, f"$[{index}].objects[0].x"
+
+
+def test_eval_checks_graphs_that_no_instance_uses(tmp_path, graphs_file, capsys):
+    data = _synth_instances(tmp_path, graphs_file, 4)
+    broken, where = _break_an_unused_graph(tmp_path, graphs_file, data)
+    capsys.readouterr()
+    code = main(["eval", "--data", str(data), "--scene-graphs", str(broken)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}: missing")
+
+
+def test_train_checks_graphs_that_no_instance_uses(tmp_path, graphs_file, capsys):
+    data = _synth_instances(tmp_path, graphs_file, 8)
+    broken, where = _break_an_unused_graph(tmp_path, graphs_file, data)
+    capsys.readouterr()
+    code = main(
+        [
+            "train", "--data", str(data), "--scene-graphs", str(broken),
+            "--out-dir", str(tmp_path / "run"), "--steps", "1",
+            "--train-n", "4", "--val-n", "2", "--test-n", "2",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}: missing")
+
+
+def test_eval_rejects_non_finite_gamma(tmp_path, graphs_file, capsys):
+    data = _synth_instances(tmp_path, graphs_file, 4)
+    capsys.readouterr()
+    code = main(
+        [
+            "eval", "--data", str(data), "--scene-graphs", str(graphs_file),
+            "--gamma", "inf",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: gamma must be")
+
+
+def test_train_rejects_non_finite_lr(tmp_path, graphs_file, capsys):
+    data = _synth_instances(tmp_path, graphs_file, 8)
+    capsys.readouterr()
+    out_dir = tmp_path / "run"
+    code = main(
+        [
+            "train", "--data", str(data), "--scene-graphs", str(graphs_file),
+            "--out-dir", str(out_dir), "--steps", "1", "--lr", "inf",
+            "--train-n", "4", "--val-n", "2", "--test-n", "2",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: lr must be")
+    assert not (out_dir / "summary.json").exists()
+
+
 def test_config_file_supplies_defaults(tmp_path, data_dir):
     config = tmp_path / "settings.json"
     config.write_text(

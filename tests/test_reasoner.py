@@ -261,3 +261,9 @@ def test_forward_stays_in_unit_interval(seed):
     weights = rng.uniform(0, 1, n_rules)
     v = forward(graph, graph.initial_valuation(fact_values), weights, cfg)
     assert np.all(v >= 0.0) and np.all(v <= 1.0)
+
+
+@pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0])
+def test_reasoner_config_rejects_gamma_that_is_not_positive_and_finite(gamma):
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        ReasonerConfig(gamma=gamma)

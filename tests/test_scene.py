@@ -1,10 +1,13 @@
 """Scene graphs, boxes, and the facts translation."""
 
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from deixis.logic import atom
 from deixis.scene import (
@@ -22,6 +25,8 @@ from deixis.scene import (
     scene_graph_to_dict,
     scene_graph_to_facts,
 )
+
+from oracles import reference_scene_graphs
 
 
 def make_graph():
@@ -182,3 +187,155 @@ def test_scene_graph_dict_round_trip():
     sg = make_graph()
     again = parse_scene_graph(scene_graph_to_dict(sg))
     assert again == sg
+
+
+# --- ingestion against the reference parser ---------------------------------
+
+_ODD = st.sampled_from(
+    [None, True, False, math.nan, math.inf, -math.inf, -1, 0, 1, 2.0, 2.5,
+     "3", "2.0", "abc", "", [], ["man"], [1], {}, {"object_id": 1}]
+)
+_CORNER = st.one_of(st.integers(0, 60), st.floats(0.0, 60.0))
+_SIZE = st.one_of(st.integers(1, 60), st.floats(0.5, 60.0))
+_NAMES = st.one_of(
+    st.lists(st.sampled_from(["man", "boat", "Stop Sign", "obj 2", ""]),
+             max_size=3),
+    st.sampled_from(["man", "boat"]),
+)
+_ALIASES = {
+    "image_id": ("id", "VG_image_id"),
+    "relations": ("relationships",),
+    "names": ("name",),
+    "confidence": ("score",),
+}
+
+
+@st.composite
+def _scene_json(draw):
+    """A scene graph as JSON, mostly well formed, with a few fields
+    mutated: wrong types, NaN, bools, missing keys, aliases, nested
+    endpoints and duplicate ids."""
+    ids = draw(st.lists(st.integers(1, 5), max_size=4, unique=True))
+    objects = [
+        {"object_id": oid, "names": draw(_NAMES), "x": draw(_CORNER),
+         "y": draw(_CORNER), "w": draw(_SIZE), "h": draw(_SIZE),
+         **({"synsets": draw(_NAMES)} if draw(st.booleans()) else {})}
+        for oid in ids
+    ]
+    endpoint = st.sampled_from(ids) if ids else st.integers(1, 5)
+    relations = [
+        {"subject_id": draw(endpoint),
+         "predicate": draw(st.sampled_from(["on", "near", "parked on"])),
+         "object_id": draw(endpoint),
+         **({"confidence": draw(st.one_of(st.floats(-0.5, 1.5), st.just(1)))}
+            if draw(st.booleans()) else {})}
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    graph = {"image_id": draw(st.integers(0, 4)), "objects": objects,
+             "relations": relations}
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        action = draw(
+            st.sampled_from(["odd", "drop", "alias", "nest", "dup", "number"])
+        )
+        if action == "dup":
+            if objects:
+                draw(st.sampled_from(objects))["object_id"] = draw(
+                    st.sampled_from(ids)
+                )
+            continue
+        if action == "number":
+            if objects or relations:
+                entry = draw(st.sampled_from([*objects, *relations]))
+                key = "x y w h".split() if "x" in entry else ["confidence"]
+                entry[draw(st.sampled_from(key))] = draw(
+                    st.sampled_from([-1, 0, -0.5, math.nan, math.inf, -math.inf])
+                )
+            continue
+        holder = draw(st.sampled_from([graph, *objects, *relations]))
+        key = draw(st.sampled_from(sorted(holder)))
+        if action == "odd":
+            holder[key] = draw(_ODD)
+        elif action == "drop":
+            del holder[key]
+        elif action == "alias" and key in _ALIASES:
+            holder[draw(st.sampled_from(_ALIASES[key]))] = holder.pop(key)
+        elif action == "nest" and key in ("subject_id", "object_id"):
+            inner = draw(st.sampled_from(["object_id", "id"]))
+            holder[key[:-3]] = {inner: holder.pop(key)}
+    return graph
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.one_of(
+        st.lists(_scene_json(), min_size=1, max_size=4),
+        st.lists(_scene_json(), min_size=1, max_size=4),
+        _scene_json(),
+        _ODD,
+    ),
+    image_ids=st.one_of(st.none(), st.sets(st.integers(0, 4), max_size=2)),
+)
+def test_load_scene_graphs_matches_the_reference_parser(data, image_ids):
+    text = json.dumps(data)
+    try:
+        expected = reference_scene_graphs(json.loads(text))
+    except SchemaError as exc:
+        expected = str(exc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graphs.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if isinstance(expected, str):
+            with pytest.raises(SchemaError) as err:
+                load_scene_graphs(path, image_ids)
+            assert str(err.value) == expected
+        else:
+            assert load_scene_graphs(path, image_ids) == [
+                sg for sg in expected
+                if image_ids is None or sg.image_id in image_ids
+            ]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda g: g["objects"][1].update(object_id=1),
+        lambda g: g["objects"][0].update(w=0),
+        lambda g: g["objects"][0].update(x=float("nan")),
+        lambda g: g["objects"][0].pop("h"),
+        lambda g: g["objects"][1].update(names=[3]),
+        lambda g: g["relations"][0].update(confidence=float("inf")),
+        lambda g: g["relations"][0].update(object_id=9),
+        lambda g: g["relations"][0].update(subject_id=True),
+        lambda g: g.update(relations={}),
+    ],
+    ids=["duplicate-id", "empty-box", "nan-x", "missing-h", "number-name",
+         "infinite-confidence", "dangling", "bool-endpoint", "relations-object"],
+)
+def test_graphs_left_unbuilt_are_checked_all_the_same(tmp_path, edit):
+    graphs = [scene_graph_to_dict(make_graph()) | {"image_id": i}
+              for i in (1, 2)]
+    edit(graphs[1])
+    path = tmp_path / "graphs.json"
+    path.write_text(json.dumps(graphs))
+    with pytest.raises(SchemaError) as reference:
+        reference_scene_graphs(json.loads(path.read_text()))
+    for image_ids in (None, {1}, set()):
+        with pytest.raises(SchemaError) as err:
+            load_scene_graphs(str(path), image_ids)
+        assert str(err.value) == str(reference.value)
+        assert err.value.json_path.startswith("$[1].")
+
+
+def test_load_scene_graphs_builds_only_the_asked_graphs(tmp_path):
+    graphs = [scene_graph_to_dict(make_graph()) | {"image_id": i}
+              for i in (4, 5, 4, 6)]
+    graphs[2]["objects"][0]["names"] = ["last"]
+    path = tmp_path / "graphs.json"
+    path.write_text(json.dumps(graphs))
+    loaded = load_scene_graphs(str(path), {4, 9})
+    assert [sg.image_id for sg in loaded] == [4, 4]
+    # A repeated image id resolves to the last graph in a by-id dict.
+    assert {sg.image_id: sg for sg in loaded}[4].objects[0].names == ("last",)
+    assert load_scene_graphs(str(path), set()) == []
+    assert len(load_scene_graphs(str(path))) == 4

@@ -101,6 +101,13 @@ def test_train_config_round_trip():
         TrainConfig(steps=-1)
 
 
+@pytest.mark.parametrize("field", ["lr", "rmsprop_eps"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_train_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        TrainConfig(**{field: value})
+
+
 def make_training_data(n_graphs=30, seed=0, spurious=4):
     graphs = random_scene_graphs(n_graphs, seed=seed)
     instances = synthesize_deivg(graphs, k=1, n=n_graphs, seed=seed)
@@ -235,3 +242,37 @@ def test_sigmoid_endpoints():
     assert sigmoid(0.0) == 0.5
     assert sigmoid(50.0) == pytest.approx(1.0)
     assert sigmoid(np.array([-50.0]))[0] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings(
+    "ignore::deixis.datasets.InsufficientCandidatesWarning"
+)
+def test_each_example_is_grounded_once_per_task(monkeypatch):
+    import deixis.grounding as grounding_mod
+
+    calls = []
+    original = grounding_mod.ground_program
+
+    def counting(program, facts, **kwargs):
+        calls.append(program)
+        return original(program, facts, **kwargs)
+
+    monkeypatch.setattr(grounding_mod, "ground_program", counting)
+    examples = make_training_data(n_graphs=12, seed=2)
+    train, val, test = examples[:6], examples[6:9], examples[9:]
+    task = make_mixture_task(("ground_truth", "corrupted"))
+    before = evaluate_mixture(task, task.params, test)
+    result = train_mixture(task, train, TrainConfig(steps=12, seed=1),
+                           val_data=val, val_every=4)
+    after = evaluate_mixture(task, result.theta, test)
+    # Steps draw examples at random; evaluating the training set too makes
+    # sure every example was needed at least once.
+    evaluate_mixture(task, result.theta, train)
+    distinct = len(train) + len(val) + len(test)
+    assert len(calls) == distinct
+    # A fresh task grounds again and scores the same.
+    assert evaluate_mixture(
+        make_mixture_task(("ground_truth", "corrupted")), task.params, test
+    ) == after
+    assert len(calls) == distinct + len(test)
+    assert 0.0 <= before <= 1.0
