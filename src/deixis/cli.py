@@ -10,9 +10,11 @@ keys are the long option names; explicit flags always win over the file.
 Secrets never go in the config: the chat API key is read from the
 environment variable named by --llm-key-env.
 
-Exit codes: 0 success; 2 bad input or schema; 3 external-service failure;
-4 internal invariant violation or any other unexpected exception, reported
-in one line (``internal error: <Type>: <message>``) without a traceback.
+Exit codes: 0 success; 2 bad input or schema, including an input too large
+to ground (a rule's candidate substitutions above the cap); 3
+external-service failure; 4 internal invariant violation or any other
+unexpected exception, reported in one line
+(``internal error: <Type>: <message>``) without a traceback.
 """
 
 from __future__ import annotations
@@ -413,7 +415,7 @@ def cmd_train(args) -> int:
 
 
 def _pipeline_predictions(
-    inst: DeicticInstance, sg: SceneGraph, reasoner_cfg: ReasonerConfig, seed: int
+    inst: DeicticInstance, sg: SceneGraph, reasoner_cfg: ReasonerConfig
 ) -> list[tuple]:
     program = template_rulegen(inst.structured)
     facts, fact_values = scene_graph_to_facts(sg, program)
@@ -424,9 +426,8 @@ def _pipeline_predictions(
     v_final = forward(
         graph, graph.initial_valuation(fact_values), weights, reasoner_cfg
     )
-    predictions = extract_targets(
-        graph, v_final, sg, reasoner_cfg, rng=np.random.default_rng(seed)
-    )
+    # A fallback draw seeds from reasoner_cfg.rng_seed afresh per instance.
+    predictions = extract_targets(graph, v_final, sg, reasoner_cfg)
     return [(p.box, p.score) for p in predictions]
 
 
@@ -463,7 +464,7 @@ def cmd_eval(args) -> int:
                     f"no scene graph for image {inst.image_id} in the corpus"
                 )
             prediction_sets.append(
-                _pipeline_predictions(inst, sg, reasoner_cfg, args.seed)
+                _pipeline_predictions(inst, sg, reasoner_cfg)
             )
     else:
         raise ValueError("eval needs --predictions or --scene-graphs")
@@ -677,7 +678,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_required_settings(args)
         return args.func(args)
-    except (UniverseTooLarge, TapeMissing, DimensionMismatch) as exc:
+    except (TapeMissing, DimensionMismatch) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except ServiceError as exc:
@@ -686,6 +687,7 @@ def main(argv=None) -> int:
     except (
         SchemaError,
         FormatError,
+        UniverseTooLarge,
         NoTargetAtoms,
         EmptyEvaluation,
         InsufficientCandidates,

@@ -17,11 +17,21 @@ it. Instances that could never fire, and the atoms only they mention, never
 enter the graph, so the reasoner gives no score to an atom without a
 derivation. Facts keep their nodes even at value 0, so gradients reach
 every fact.
+
+What grounding does with a program depends only on its shape: the
+predicates numbered by first appearance, the variable names, and where the
+constants stand. Templated prompts give many programs of one shape that
+differ only in names. A :class:`_Plan`, compiled once per shape and kept in
+a bounded cache, holds the strata and each rule's join plan (a compiled
+relational plan, as in Jordan, Scholz and Subotić, "Soufflé", CAV 2016);
+each call reads the predicates and constants off its program and runs the
+joins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,103 +72,155 @@ def grounding_universe(program: Program, facts: FactSet) -> tuple[Term, ...]:
     )
 
 
-class _Step:
-    """One body atom of a rule's join plan.
+def _shape(program: Program) -> tuple[tuple, tuple[Predicate, ...]]:
+    """The program's shape and its predicates by number. Each rule is a
+    tuple of atoms, head first, and each atom is (predicate number,
+    arguments), with a variable's name and None for a constant."""
+    numbers: dict[Predicate, int] = {}
+    shape = tuple(
+        tuple(
+            (
+                numbers.setdefault(a.predicate, len(numbers)),
+                tuple(t.name if t.is_variable else None for t in a.args),
+            )
+            for a in (rule.head, *rule.body)
+        )
+        for rule in program.rules
+    )
+    return shape, tuple(numbers)
 
-    ``key`` lists, for each bound argument position, either a constant name
-    or the slot of an already-bound variable. ``binds`` are the (position,
-    slot) pairs whose variables this atom binds first, and ``checks`` are
-    (position, earlier position) pairs for a variable repeated inside the
-    atom. ``order`` lists indices into ``binds`` sorted by variable name.
-    ``slots`` maps variable names to slots and gains this atom's variables.
+
+class _Plan:
+    """How to ground every program of one shape.
+
+    ``strata`` lists rule indices grouped by the strongly connected
+    components of the predicate dependency graph, dependencies first, each
+    with a flag that says whether the component is recursive (Tarjan's
+    algorithm). ``n_vars`` gives each rule's variable count. ``joins``
+    gives each rule's body atoms in join order, extensional ones first, as
+    steps ``(body index, predicate number, positions, key, binds, checks,
+    order, sort_new)``:
+
+    - ``positions`` are the bound argument positions, and ``key`` gives
+      for each either the slot of an already-bound variable or None for a
+      constant, read from the program at that position;
+    - ``binds`` are the (position, slot) pairs whose variables the atom
+      binds first, and ``checks`` (position, earlier position) pairs for a
+      variable repeated inside the atom;
+    - ``order`` lists indices into ``binds`` sorted by variable name, and
+      ``sort_new`` says whether new bindings are sorted that way (an
+      intensional atom that binds a variable).
+
+    ``head_slots`` gives each rule's head arguments as slots, None for a
+    constant, and ``body_at`` each body atom's place in join order.
     """
 
-    __slots__ = ("predicate", "positions", "key", "binds", "checks", "order")
+    __slots__ = ("strata", "n_vars", "joins", "head_slots", "body_at")
 
-    def __init__(self, body_atom: Atom, slots: dict[str, int]):
-        self.predicate = body_atom.predicate
-        positions: list[int] = []
-        key: list[str | int] = []
-        checks: list[tuple[int, int]] = []
-        first: dict[str, int] = {}
-        for pos, t in enumerate(body_atom.args):
-            name = t.name
-            if not t.is_variable:
-                positions.append(pos)
-                key.append(name)
-            elif name in slots:
-                positions.append(pos)
-                key.append(slots[name])
-            elif name in first:
-                checks.append((pos, first[name]))
-            else:
-                first[name] = pos
-        binds = []
-        for name, pos in first.items():
-            slots[name] = len(slots)
-            binds.append((pos, slots[name]))
-        self.positions = tuple(positions)
-        self.key = tuple(key)
-        self.binds = tuple(binds)
-        self.checks = tuple(checks)
-        names = list(first)
-        self.order = tuple(sorted(range(len(names)), key=names.__getitem__))
-
-
-def _strata(program: Program) -> list[tuple[list[int], bool]]:
-    """Rule indices grouped by the strongly connected components of the
-    predicate dependency graph, dependencies first, each with a flag that
-    says whether the component is recursive (Tarjan's algorithm)."""
-    ids: dict[Predicate, int] = {}
-    rules_of: list[list[int]] = []
-    heads: list[int] = []
-    for i, rule in enumerate(program):
-        k = ids.setdefault(rule.head.predicate, len(ids))
-        if k == len(rules_of):
-            rules_of.append([])
-        rules_of[k].append(i)
-        heads.append(k)
-    depends: list[list[int]] = [[] for _ in rules_of]
-    for k, rule in zip(heads, program):
-        for b in rule.body:
-            j = ids.get(b.predicate)
-            if j is not None and j not in depends[k]:
-                depends[k].append(j)
-
-    n = len(rules_of)
-    order = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    strata: list[tuple[list[int], bool]] = []
-
-    def visit(p: int) -> None:
-        order[p] = low[p] = n - order.count(-1)  # predicates visited so far
-        stack.append(p)
-        on_stack[p] = True
-        for q in depends[p]:
-            if order[q] < 0:
-                visit(q)
-                low[p] = min(low[p], low[q])
-            elif on_stack[q]:
-                low[p] = min(low[p], order[q])
-        if low[p] == order[p]:
-            component = []
-            while True:
-                q = stack.pop()
-                on_stack[q] = False
-                component.append(q)
-                if q == p:
-                    break
-            recursive = len(component) > 1 or p in depends[p]
-            strata.append(
-                (sorted(i for q in component for i in rules_of[q]), recursive)
+    def __init__(self, shape: tuple) -> None:
+        intensional = {rule[0][0] for rule in shape}
+        n_vars, joins, head_slots, body_at = [], [], [], []
+        for (_, head_args), *body in shape:
+            ordered = sorted(
+                range(len(body)), key=lambda i: (body[i][0] in intensional, i)
             )
+            slots: dict[str, int] = {}
+            steps = []
+            for i in ordered:
+                p, args = body[i]
+                positions: list[int] = []
+                key: list[int | None] = []
+                checks: list[tuple[int, int]] = []
+                first: dict[str, int] = {}
+                for pos, name in enumerate(args):
+                    if name is None:
+                        positions.append(pos)
+                        key.append(None)
+                    elif name in slots:
+                        positions.append(pos)
+                        key.append(slots[name])
+                    elif name in first:
+                        checks.append((pos, first[name]))
+                    else:
+                        first[name] = pos
+                binds = []
+                for name, pos in first.items():
+                    slots[name] = len(slots)
+                    binds.append((pos, slots[name]))
+                names = list(first)
+                steps.append((
+                    i, p, tuple(positions), tuple(key), tuple(binds),
+                    tuple(checks),
+                    tuple(sorted(range(len(names)), key=names.__getitem__)),
+                    p in intensional and len(binds) > 0,
+                ))
+            n_vars.append(len(slots))
+            joins.append(tuple(steps))
+            head_slots.append(
+                tuple(None if name is None else slots[name] for name in head_args)
+            )
+            body_at.append(tuple(ordered.index(i) for i in range(len(body))))
+        self.strata = self._stratify(shape)
+        self.n_vars = tuple(n_vars)
+        self.joins = tuple(joins)
+        self.head_slots = tuple(head_slots)
+        self.body_at = tuple(body_at)
 
-    for p in range(n):
-        if order[p] < 0:
-            visit(p)
-    return strata
+    @staticmethod
+    def _stratify(shape: tuple) -> tuple[tuple[tuple[int, ...], bool], ...]:
+        """The rule strata of a shape, dependencies first."""
+        ids: dict[int, int] = {}
+        rules_of: list[list[int]] = []
+        heads: list[int] = []
+        for i, rule in enumerate(shape):
+            k = ids.setdefault(rule[0][0], len(ids))
+            if k == len(rules_of):
+                rules_of.append([])
+            rules_of[k].append(i)
+            heads.append(k)
+        depends: list[list[int]] = [[] for _ in rules_of]
+        for k, rule in zip(heads, shape):
+            for p, _ in rule[1:]:
+                j = ids.get(p)
+                if j is not None and j not in depends[k]:
+                    depends[k].append(j)
+
+        n = len(rules_of)
+        order = [-1] * n
+        low = [0] * n
+        on_stack = [False] * n
+        stack: list[int] = []
+        strata: list[tuple[tuple[int, ...], bool]] = []
+
+        def visit(p: int) -> None:
+            order[p] = low[p] = n - order.count(-1)  # predicates visited so far
+            stack.append(p)
+            on_stack[p] = True
+            for q in depends[p]:
+                if order[q] < 0:
+                    visit(q)
+                    low[p] = min(low[p], low[q])
+                elif on_stack[q]:
+                    low[p] = min(low[p], order[q])
+            if low[p] == order[p]:
+                component = []
+                while True:
+                    q = stack.pop()
+                    on_stack[q] = False
+                    component.append(q)
+                    if q == p:
+                        break
+                recursive = len(component) > 1 or p in depends[p]
+                rules = sorted(i for q in component for i in rules_of[q])
+                strata.append((tuple(rules), recursive))
+
+        for p in range(n):
+            if order[p] < 0:
+                visit(p)
+        return tuple(strata)
+
+
+_plan = lru_cache(maxsize=256)(_Plan)
 
 
 def ground_program(
@@ -174,11 +236,12 @@ def ground_program(
     present whatever their values, and the head of an instance whose body
     atoms are all present becomes present. Rules are evaluated stratum by
     stratum in dependency order; a non-recursive stratum takes one pass and
-    a recursive one re-joins until no new head appears. Each body atom
-    joins, through a hash index on its bound argument positions, against
-    the facts plus the heads derived so far, binding variables only to
-    constants of the grounding ``universe``; without one, the universe is
-    :func:`grounding_universe` of the program and the facts.
+    a recursive one re-joins until no new head appears. The strata and
+    join orders come from the plan cached for the program's shape. Each
+    body atom joins, through a hash index on its bound argument positions,
+    against the facts plus the heads derived so far, binding variables only
+    to constants of the grounding ``universe``; without one, the universe
+    is :func:`grounding_universe` of the program and the facts.
 
     The result holds every instance over the universe whose body atoms are
     all present, ordered by rule index and then by join order: extensional
@@ -187,17 +250,17 @@ def ground_program(
     :class:`UniverseTooLarge` when a rule's candidate substitution space or
     an intermediate join exceeds ``max_groundings``.
     """
+    shape, predicates = _shape(program)
+    plan = _plan(shape)
     if universe is None:
         universe = grounding_universe(program, facts)
-    for rule_index, rule in enumerate(program):
-        n_vars = len(rule.variables)
+    for rule_index, n_vars in enumerate(plan.n_vars):
         if n_vars and len(universe) ** n_vars > max_groundings:
             raise UniverseTooLarge(
                 f"rule {rule_index}: {len(universe)}^{n_vars} candidate "
                 f"substitutions exceed the cap of {max_groundings}"
             )
     rank = {t.name: i for i, t in enumerate(universe)}
-    intensional = program.intensional_predicates
 
     # Present atoms by predicate, keyed by argument names: the facts in
     # fact-store order, then derived heads in derivation order.
@@ -207,53 +270,49 @@ def ground_program(
     # (predicate, bound positions) -> bound argument names -> atoms.
     indexes: dict[tuple[Predicate, tuple[int, ...]], dict[tuple, list[Atom]]] = {}
 
-    def candidates(step: _Step, key: tuple[str, ...]):
-        atoms = present.get(step.predicate)
+    def candidates(predicate: Predicate, positions: tuple[int, ...], key: tuple):
+        atoms = present.get(predicate)
         if not atoms:
             return ()
-        if len(step.positions) == step.predicate.arity:
+        if len(positions) == predicate.arity:
             hit = atoms.get(key)
             return () if hit is None else (hit,)
-        if not step.positions:
+        if not positions:
             return atoms.values()
-        index = indexes.get((step.predicate, step.positions))
+        index = indexes.get((predicate, positions))
         if index is None:
             index = {}
             for a in atoms.values():
                 args = a.args
-                index.setdefault(
-                    tuple(args[p].name for p in step.positions), []
-                ).append(a)
-            indexes[(step.predicate, step.positions)] = index
+                index.setdefault(tuple(args[p].name for p in positions), []).append(a)
+            indexes[(predicate, positions)] = index
         return index.get(key, ())
 
     def join(rule_index: int) -> list[GroundRule]:
         rule = program.rules[rule_index]
-        ordered = sorted(
-            range(len(rule.body)),
-            key=lambda i: (rule.body[i].predicate in intensional, i),
-        )
-        slots: dict[str, int] = {}
-        steps = [_Step(rule.body[i], slots) for i in ordered]
-
         # A binding is (bound terms by slot, matched atoms by step).
         bindings: list[tuple[tuple[Term, ...], tuple[Atom, ...]]] = [((), ())]
-        for i, step in zip(ordered, steps):
-            sort_new = (
-                rule.body[i].predicate in intensional and len(step.binds) > 0
+        for i, p, positions, key_slots, binds, checks, order, sort_new in (
+            plan.joins[rule_index]
+        ):
+            predicate = predicates[p]
+            args_i = rule.body[i].args
+            # The constants of this program fill the key's blanks.
+            key_spec = tuple(
+                args_i[q].name if k is None else k
+                for q, k in zip(positions, key_slots)
             )
             extended = []
             for terms, matched in bindings:
                 key = tuple(
-                    k if k.__class__ is str else terms[k].name
-                    for k in step.key
+                    k if k.__class__ is str else terms[k].name for k in key_spec
                 )
                 found = []
-                for a in candidates(step, key):
+                for a in candidates(predicate, positions, key):
                     args = a.args
-                    if any(args[p].name != args[q].name for p, q in step.checks):
+                    if any(args[q].name != args[r].name for q, r in checks):
                         continue
-                    new = tuple(args[p] for p, _ in step.binds)
+                    new = tuple(args[q] for q, _ in binds)
                     if all(t.name in rank for t in new):
                         found.append((terms + new, matched + (a,)))
                 if sort_new and len(found) > 1:
@@ -261,7 +320,7 @@ def ground_program(
                     # name, over the universe.
                     n_old = len(terms)
                     found.sort(key=lambda b: tuple(
-                        rank[b[0][n_old + j].name] for j in step.order
+                        rank[b[0][n_old + j].name] for j in order
                     ))
                 extended.extend(found)
             bindings = extended
@@ -274,10 +333,8 @@ def ground_program(
                 return []
 
         head = rule.head
-        head_slots = [
-            slots[t.name] if t.is_variable else None for t in head.args
-        ]
-        body_at = [ordered.index(i) for i in range(len(rule.body))]
+        head_slots = plan.head_slots[rule_index]
+        body_at = plan.body_at[rule_index]
         out = []
         for terms, matched in bindings:
             args = tuple(
@@ -293,7 +350,7 @@ def ground_program(
         return out
 
     per_rule: list[list[GroundRule]] = [[] for _ in program.rules]
-    for indices, recursive in _strata(program):
+    for indices, recursive in plan.strata:
         while True:
             new_heads: dict[tuple[Predicate, tuple[str, ...]], Atom] = {}
             for rule_index in indices:
@@ -346,13 +403,39 @@ class ReasoningGraph:
 
         head_idx = []
         rule_idx = []
+        body_starts = []
         body_counts = []
         body_flat: list[int] = []
         for gr in ground_rules:
             head_idx.append(intern(gr.head))
             rule_idx.append(gr.rule_index)
+            body_starts.append(len(body_flat))
             body_counts.append(len(gr.body))
             body_flat.extend(intern(a) for a in gr.body)
+        # The reduceat plan over body values padded with one sentinel slot
+        # past the end: reduceat cannot express an empty segment, so an
+        # empty body (a weighted program fact) starts at the sentinel. The
+        # sentinel also pads the final segment, where it is a no-op.
+        sentinel = len(body_flat)
+        reduce_starts = [
+            start if n else sentinel for start, n in zip(body_starts, body_counts)
+        ]
+        # Which conjunction each body slot belongs to.
+        slot_conj = [c for c, n in enumerate(body_counts) for _ in range(n)]
+
+        # Conjunctions grouped by head atom for the disjunctive update, in
+        # a stable order.
+        grouped = sorted(range(len(head_idx)), key=head_idx.__getitem__)
+        updated: list[int] = []
+        group_starts: list[int] = []
+        for g, c in enumerate(grouped):
+            if not updated or head_idx[c] != updated[-1]:
+                updated.append(head_idx[c])
+                group_starts.append(g)
+        group_sizes = [
+            end - start
+            for start, end in zip(group_starts, group_starts[1:] + [len(grouped)])
+        ]
 
         self.atoms: tuple[Atom, ...] = tuple(atoms)
         self.atom_index: dict[Atom, int] = index
@@ -362,41 +445,18 @@ class ReasoningGraph:
         self.n_rules: int = n_rules
         self.defines_target: bool = defines_target
 
-        self.conj_head = np.asarray(head_idx, dtype=np.int64)
-        self.conj_rule = np.asarray(rule_idx, dtype=np.int64)
-        self.body_counts = np.asarray(body_counts, dtype=np.int64)
-        self.body_atoms = np.asarray(body_flat, dtype=np.int64)
+        self.conj_head = np.array(head_idx, dtype=np.int64)
+        self.conj_rule = np.array(rule_idx, dtype=np.int64)
+        self.body_counts = np.array(body_counts, dtype=np.int64)
+        self.body_atoms = np.array(body_flat, dtype=np.int64)
         # Segment starts into body_atoms, one per conjunction node.
-        self.body_starts = np.zeros(self.n_conj, dtype=np.int64)
-        if self.n_conj:
-            np.cumsum(self.body_counts[:-1], out=self.body_starts[1:])
-
-        # Which conjunction each body slot belongs to.
-        self.slot_conj = np.repeat(np.arange(self.n_conj), self.body_counts)
-        # The reduceat plan over body values padded with one sentinel slot
-        # past the end: reduceat cannot express an empty segment, so an
-        # empty body (a weighted program fact) starts at the sentinel. The
-        # sentinel also pads the final segment, where it is a no-op.
-        self.body_reduce_starts = self.body_starts.copy()
-        self.body_reduce_starts[self.body_counts == 0] = self.body_atoms.size
-
-        # Conjunctions grouped by head atom for the disjunctive update.
-        order = np.argsort(self.conj_head, kind="stable")
-        self.grouped_conj = order
-        grouped_heads = self.conj_head[order]
-        if self.n_conj:
-            boundary = np.flatnonzero(
-                np.diff(grouped_heads, prepend=grouped_heads[0] - 1)
-            )
-            self.updated_atoms = grouped_heads[boundary]
-            self.group_starts = boundary
-            self.group_sizes = np.diff(
-                np.append(boundary, self.n_conj)
-            )
-        else:
-            self.updated_atoms = np.zeros(0, dtype=np.int64)
-            self.group_starts = np.zeros(0, dtype=np.int64)
-            self.group_sizes = np.zeros(0, dtype=np.int64)
+        self.body_starts = np.array(body_starts, dtype=np.int64)
+        self.slot_conj = np.array(slot_conj, dtype=np.int64)
+        self.body_reduce_starts = np.array(reduce_starts, dtype=np.int64)
+        self.grouped_conj = np.array(grouped, dtype=np.int64)
+        self.updated_atoms = np.array(updated, dtype=np.int64)
+        self.group_starts = np.array(group_starts, dtype=np.int64)
+        self.group_sizes = np.array(group_sizes, dtype=np.int64)
 
     def initial_valuation(self, fact_values: np.ndarray) -> np.ndarray:
         """Embed a fact valuation into a full atom-node valuation vector."""

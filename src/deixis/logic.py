@@ -155,21 +155,21 @@ class Rule:
 
 
 def _alpha_key(rule: Rule) -> tuple:
-    """Rule signature invariant under variable renaming (weight ignored)."""
-    mapping: dict[Term, Term] = {}
-
-    def rename(t: Term) -> Term:
-        if t.is_constant:
-            return t
-        if t not in mapping:
-            mapping[t] = Term(f"V{len(mapping)}")
-        return mapping[t]
-
-    head = Atom(rule.head.predicate, tuple(rename(t) for t in rule.head.args))
-    body = tuple(
-        Atom(a.predicate, tuple(rename(t) for t in a.args)) for a in rule.body
+    """Rule signature invariant under variable renaming (weight ignored):
+    ``(name, arity, args)`` per atom, head first, with each variable
+    replaced by its number in order of first occurrence."""
+    numbers: dict[str, int] = {}
+    return tuple(
+        (
+            a.predicate.name,
+            a.predicate.arity,
+            tuple(
+                numbers.setdefault(t.name, len(numbers)) if t.is_variable else t.name
+                for t in a.args
+            ),
+        )
+        for a in (rule.head, *rule.body)
     )
-    return (head, body)
 
 
 @dataclass(frozen=True)

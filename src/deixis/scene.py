@@ -328,22 +328,24 @@ def scene_universe(
     return object_universe(program, leads, later)
 
 
-def _demand(program: Program) -> dict[tuple[str, int], list]:
-    """(predicate name, arity) -> the constant patterns of the program's
-    body atoms, each a tuple of (position, constant) pairs. A body atom
-    without constants reads every fact of its predicate, and its empty
-    pattern then stands alone."""
-    demand: dict[tuple[str, int], list] = {}
+def _demand(program: Program, arity: int) -> dict[str, list]:
+    """Predicate name -> the constant patterns of the program's body atoms
+    of ``arity``, each a tuple of (position, constant) pairs. A body atom
+    without constants reads every fact of its predicate, whose list of
+    patterns is then empty."""
+    demand: dict[str, list] = {}
+    reads_all: set[str] = set()
     for rule in program.rules:
         for a in rule.body:
-            pattern = tuple(
-                (i, t.name) for i, t in enumerate(a.args) if t.is_constant
-            )
-            patterns = demand.setdefault((a.predicate.name, a.predicate.arity), [])
-            if not pattern:
-                patterns[:] = [()]
-            elif patterns != [()]:
-                patterns.append(pattern)
+            if a.predicate.arity == arity:
+                pattern = tuple(
+                    (i, t.name) for i, t in enumerate(a.args) if t.is_constant
+                )
+                demand.setdefault(a.predicate.name, []).append(pattern)
+                if not pattern:
+                    reads_all.add(a.predicate.name)
+    for name in reads_all:
+        demand[name] = []
     return demand
 
 
@@ -369,15 +371,16 @@ def scene_graph_to_facts(
     else, so the program grounds to the same rule instances, as long as it
     is given the universe of the full facts (:func:`scene_universe`).
     """
-    demand = None if program is None else _demand(program)
+    # Every row has two arguments, three with a tag.
+    demand = None if program is None else _demand(program, 2 + (tag is not None))
     facts = FactSet()
     values: list[float] = []
     for name, args, value in scene_rows(sg).rows:
         if tag is not None:
             name, args = tagged_predicate(name), (*args, tag)
         if demand is not None:
-            patterns = demand.get((name, len(args)))
-            if patterns is None or not any(
+            patterns = demand.get(name)
+            if patterns is None or patterns and not any(
                 all(args[i] == c for i, c in p) for p in patterns
             ):
                 continue

@@ -95,6 +95,10 @@ class EmbeddingStore:
                     raise ValueError(
                         f"{path}:{line_no}: malformed embedding line"
                     ) from exc
+                if not np.isfinite(vec).all():
+                    raise ValueError(
+                        f"{path}:{line_no}: embedding values must be finite"
+                    )
                 store.add(word, vec)
         if store is None or len(store) == 0:
             raise ValueError(f"{path}: no embeddings found")

@@ -222,6 +222,58 @@ def test_reason_unifies_against_embeddings(tmp_path, data_dir, capsys):
     assert "type(Y,barge)" in first["program"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_reason_rejects_non_finite_embeddings(tmp_path, data_dir, capsys, value):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(f"2 2\nboat 1.0 0.0\non {value} 0.5\n")
+    program = tmp_path / "program.lp"
+    program.write_text("cond1(X):-on(X,Y),type(Y,boat).\ntarget(X):-cond1(X).\n")
+    output = tmp_path / "results.json"
+    code = main(
+        [
+            "reason",
+            "--scene-graphs", str(data_dir / "scene_graphs.json"),
+            "--program", str(program),
+            "--embeddings", str(vectors),
+            "--output", str(output),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {vectors}:3: embedding values must be finite\n"
+    )
+    assert not output.exists()
+
+
+def test_reason_input_too_large_to_ground_exits_2(tmp_path, capsys):
+    # 216 objects, each with a type fact, put 216 constants in the
+    # universe: 216^3 substitutions of a 3-variable rule exceed 10^7.
+    n = 216
+    scene = {
+        "image_id": 1,
+        "objects": [
+            {"object_id": i, "names": ["box"], "x": 0, "y": 0, "w": 1, "h": 1}
+            for i in range(1, n + 1)
+        ],
+        "relations": [
+            {"subject_id": i, "predicate": "on", "object_id": i % n + 1}
+            for i in range(1, n + 1)
+        ],
+    }
+    graphs = tmp_path / "graphs.json"
+    graphs.write_text(json.dumps([scene]))
+    program = tmp_path / "program.lp"
+    program.write_text("target(X):-on(X,Y),on(Y,Z).\n")
+    code = main(
+        ["reason", "--scene-graphs", str(graphs), "--program", str(program)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: rule 0: 216^3 candidate substitutions exceed the cap of "
+        "10000000\n"
+    )
+
+
 def test_reason_with_llm_fixture(data_dir, capsys):
     code = main(
         [
@@ -655,3 +707,70 @@ def test_runs_without_the_online_extra(data_dir):
     assert online.returncode == 2
     assert "'online' extra" in online.stderr
     assert "Traceback" not in online.stderr
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, data_dir):
+    # String hashing is randomised per process, so dict and set iteration
+    # order may differ between runs; no output may follow it.
+    graphs = tmp_path / "graphs.json"
+    graphs.write_text(
+        json.dumps([scene_graph_to_dict(g) for g in random_scene_graphs(30, seed=10)])
+    )
+    data = tmp_path / "deivg.json"
+    assert main(
+        ["synth", "--kind", "deivg", "--k", "2", "--n", "12", "--seed", "5",
+         "--scene-graphs", str(graphs), "--output", str(data)]
+    ) == 0
+    program = tmp_path / "program.lp"
+    program.write_text(
+        "cond1(X):-holding(X,Y),type(Y,umbrella).\n"
+        "cond2(X):-near(X,Y),type(Y,person).\n"
+        "target(X):-cond1(X),cond2(X).\n"
+        "target(X):-on(X,Y),target(Y).\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(deixis.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p
+    )
+    script = "import sys; from deixis.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def outputs(hash_seed: str) -> dict[str, bytes]:
+        out = tmp_path / f"hash{hash_seed}"
+        out.mkdir()
+        commands = {
+            "eval": ["eval", "--data", str(data), "--scene-graphs", str(graphs),
+                     "--seed", "2", "--output", str(out / "report.json")],
+            "reason": ["reason", "--scene-graphs", str(graphs),
+                       "--program", str(program),
+                       "--embeddings", str(data_dir / "embeddings.txt"),
+                       "--seed", "3", "--output", str(out / "results.json")],
+            "train": ["train", "--data", str(data), "--scene-graphs", str(graphs),
+                      "--out-dir", str(out / "train"), "--steps", "5",
+                      "--train-n", "6", "--val-n", "3", "--test-n", "3",
+                      "--seed", "4"],
+        }
+        found = {}
+        for name, argv in commands.items():
+            done = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                env={**env, "PYTHONHASHSEED": hash_seed},
+                capture_output=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            found[f"{name} stdout"] = done.stdout
+        for path in sorted(out.rglob("*")):
+            if path.is_file():
+                found[str(path.relative_to(out))] = path.read_bytes()
+        return found
+
+    first, second = outputs("1"), outputs("2")
+    assert sorted(first) == sorted(second) == sorted([
+        "eval stdout", "reason stdout", "train stdout",
+        "report.json", "report.json.manifest.json",
+        "results.json", "results.json.manifest.json",
+        "train/checkpoint.json", "train/summary.json",
+        "train/summary.json.manifest.json", "train/trace.csv",
+    ])
+    for name in first:
+        assert first[name] == second[name], name

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from deixis.grounding import (
     UniverseTooLarge,
+    _plan,
+    _shape,
     build_reasoning_graph,
     ground_program,
     grounding_universe,
@@ -255,3 +257,110 @@ def test_underivable_atoms_score_zero(case, gamma, steps, seed):
     for i, a in enumerate(graph.atoms):
         if a not in closure:
             assert v[i] == 0.0, a
+
+
+_CONSTANT_NAMES = ("obj1", "obj2", "obj3", "obj4", "obj5", "boat")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    programs_and_facts(),
+    st.permutations([p.name for p in _PREDICATES]),
+    st.permutations(_CONSTANT_NAMES + ("cyan",)),
+)
+def test_programs_of_one_shape_share_a_plan(case, names, constants):
+    """A program renamed by bijections on predicate names (facts renamed
+    alike) and on constants (facts kept) has the same shape, so it grounds
+    through the plan compiled for the first; it must still ground exactly
+    as the reference grounder does, and as a freshly compiled plan does."""
+    program, facts = case
+    pred_map = dict(zip((p.name for p in _PREDICATES), names))
+    const_map = dict(zip(_CONSTANT_NAMES, constants))
+
+    def rename(a: Atom, constants_too: bool) -> Atom:
+        return Atom(
+            Predicate(pred_map[a.predicate.name], a.predicate.arity),
+            tuple(
+                Term(const_map[t.name]) if constants_too and t.is_constant else t
+                for t in a.args
+            ),
+        )
+
+    renamed = Program(tuple(
+        Rule(rename(r.head, True), tuple(rename(b, True) for b in r.body), r.weight)
+        for r in program.rules
+    ))
+    renamed_facts = FactSet(rename(f, False) for f in facts)
+    assert _shape(renamed)[0] == _shape(program)[0]
+
+    _plan.cache_clear()
+    first = ground_program(program, facts)
+    hit = ground_program(renamed, renamed_facts)
+    assert (_plan.cache_info().misses, _plan.cache_info().hits) == (1, 1)
+    _plan.cache_clear()
+    assert ground_program(renamed, renamed_facts) == hit
+
+    for prog, fs, got in ((program, facts, first), (renamed, renamed_facts, hit)):
+        instances = [(g.rule_index, g.head, g.body) for g in got]
+        assert len(instances) == len(set(instances))
+        assert set(instances) == oracle_ground(prog, fs)
+
+
+def test_shape_plan_covers_recursion_repeats_and_bound_constants():
+    # One shape, two namings: a recursive rule, a repeated variable and a
+    # constant at a bound position.
+    text = (
+        "{path}(X,Y):-{link}(X,Y).\n"
+        "{path}(X,Z):-{link}(X,Y),{path}(Y,Z).\n"
+        "{loop}(X):-{link}(X,X).\n"
+        "{hit}(X):-{path}(X,{end}).\n"
+    )
+    facts = FactSet(
+        [atom("link", "obj1", "obj2"), atom("link", "obj2", "obj3"),
+         atom("link", "obj3", "obj3"), atom("edge", "obj3", "obj1"),
+         atom("edge", "obj1", "obj1")]
+    )
+    first = parse_program(text.format(
+        path="path", link="link", loop="loop", hit="hit", end="obj3"))
+    second = parse_program(text.format(
+        path="reach", link="edge", loop="self", hit="goal", end="obj1"))
+    assert _shape(first)[0] == _shape(second)[0]
+    _plan.cache_clear()
+    for program in (first, second):
+        got = {(g.rule_index, g.head, g.body) for g in ground_program(program, facts)}
+        assert got == oracle_ground(program, facts)
+    assert (_plan.cache_info().misses, _plan.cache_info().hits) == (1, 1)
+    heads = {str(g.head) for g in ground_program(second, facts)}
+    assert heads == {
+        "reach(obj3,obj1)", "reach(obj1,obj1)", "self(obj1)", "goal(obj3)", "goal(obj1)",
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(programs_and_facts())
+def test_reasoning_graph_index_arrays_match_numpy_reference(case):
+    """The index arrays, built in plain lists, equal what the numpy
+    segment operations give from the heads and body counts."""
+    program, facts = case
+    graph = build_reasoning_graph(program, facts)
+    counts = graph.body_counts
+    starts = np.zeros(graph.n_conj, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    reduce_starts = starts.copy()
+    reduce_starts[counts == 0] = graph.body_atoms.size
+    order = np.argsort(graph.conj_head, kind="stable")
+    heads = graph.conj_head[order]
+    boundary = np.flatnonzero(np.diff(heads, prepend=-1))
+    expected = {
+        "body_starts": starts,
+        "slot_conj": np.repeat(np.arange(graph.n_conj), counts),
+        "body_reduce_starts": reduce_starts,
+        "grouped_conj": order,
+        "updated_atoms": heads[boundary],
+        "group_starts": boundary,
+        "group_sizes": np.diff(np.append(boundary, graph.n_conj)),
+    }
+    for name, want in expected.items():
+        got = getattr(graph, name)
+        assert got.dtype == np.int64, name
+        assert np.array_equal(got, want), name

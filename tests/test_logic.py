@@ -17,6 +17,8 @@ from deixis.logic import (
     render_program,
     render_rule,
 )
+from deixis.logic import _alpha_key
+from deixis.rulegen import FormatError, validate_rules
 
 PROGRAM_1 = (
     "cond1(X):-on(X,Y),type(Y,boat).\n"
@@ -98,6 +100,57 @@ def test_program_rejects_alpha_equivalent_duplicates():
     r2 = parse_rule("cond1(Z):-on(Z,W),type(W,boat).")
     with pytest.raises(ValueError):
         Program((r1, r2))
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("cond1(X):-on(X,Y),type(Y,boat).", "cond1(A):-on(A,B),type(B,boat)."),
+        ("p(X,Y):-q(X,Y).", "p(Y,X):-q(Y,X)."),
+        ("p(X):-q(X,X).", "p(Y):-q(Y,Y)."),
+        ("p(X):-q(X,obj1).", "p(Y):-q(Y,obj1)."),
+    ],
+)
+def test_alpha_equivalent_rules_are_duplicates(first, second):
+    with pytest.raises(ValueError, match="duplicate rule"):
+        Program((parse_rule(first), parse_rule(second)))
+    with pytest.raises(RuleSyntaxError, match="duplicate rule"):
+        parse_program(f"{first}\n{second}")
+    with pytest.raises(FormatError) as err:
+        validate_rules(f"{first}\n{second}")
+    assert "duplicate_rule" in err.value.categories
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        # Differ only by a constant.
+        ("cond1(X):-on(X,Y),type(Y,boat).", "cond1(X):-on(X,Y),type(Y,barge)."),
+        # A constant against a variable, including a constant that looks
+        # like a variable's number.
+        ("p(X):-q(X,Y).", "p(X):-q(X,obj1)."),
+        ("p(X):-q(X,Y).", "p(X):-q(X,1)."),
+        ("p(X):-q(X,Y).", "p(X):-q(X,0)."),
+        # A repeated variable against two variables, and swapped roles.
+        ("p(X):-q(X,X).", "p(X):-q(X,Y)."),
+        ("p(X,Y):-q(X,Y).", "p(X,Y):-q(Y,X)."),
+        # A different predicate.
+        ("p(X):-q(X).", "p(X):-r(X)."),
+    ],
+)
+def test_rules_that_differ_beyond_renaming_are_kept(first, second):
+    rules = (parse_rule(first), parse_rule(second))
+    assert Program(rules).rules == rules
+    assert parse_program(f"{first}\n{second}").rules == rules
+    assert _alpha_key(rules[0]) != _alpha_key(rules[1])
+
+
+def test_rules_whose_predicates_differ_in_arity_are_kept():
+    rules = (
+        Rule(atom("p", "X"), (atom("q", "X"),)),
+        Rule(atom("p", "X"), (atom("q", "X", "X"),)),
+    )
+    assert Program(rules).rules == rules
 
 
 def test_program_predicate_partition():
