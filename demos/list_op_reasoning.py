@@ -24,8 +24,7 @@ def solve(scene, program) -> int:
     facts, values = clevr_facts(scene)
     graph = build_reasoning_graph(program, facts)
     cfg = ReasonerConfig()
-    v = forward(graph, graph.initial_valuation(values),
-                np.ones(len(program.rules)), cfg)
+    v = forward(graph, graph.initial_valuation(values), graph.weights, cfg)
     predictions = extract_targets(graph, v, clevr_scene_graph(scene), cfg,
                                   rng=np.random.default_rng(0))
     assert len(predictions) == 1 and not predictions[0].fallback

@@ -11,7 +11,6 @@ import numpy as np
 
 from deixis import (
     Box,
-    FactSet,
     ReasonerConfig,
     SceneGraph,
     SceneObject,
@@ -19,9 +18,9 @@ from deixis import (
     build_reasoning_graph,
     extract_targets,
     forward,
+    grounding_universe,
     parse_program,
     scene_graph_to_facts,
-    scene_universe,
 )
 
 PROGRAM = """\
@@ -53,16 +52,15 @@ def main() -> None:
     for fact, value in zip(facts, values):
         print(f"  {fact}  = {value:.1f}")
 
-    # The universe comes from the whole scene, so grounding binds variables
-    # exactly as it would over every fact.
-    universe = scene_universe(program, [SCENE])
+    # The facts record the argument names of the whole scene, so grounding
+    # binds variables exactly as it would over every fact.
+    universe = grounding_universe(program, facts)
     print("grounding universe:", " ".join(t.name for t in universe))
-    graph = build_reasoning_graph(program, facts, universe=universe)
+    graph = build_reasoning_graph(program, facts)
     print(f"\n{graph!r}")
 
     cfg = ReasonerConfig(gamma=0.01, steps=2)
-    weights = np.ones(len(program.rules))
-    v = forward(graph, graph.initial_valuation(values), weights, cfg)
+    v = forward(graph, graph.initial_valuation(values), graph.weights, cfg)
 
     print("\nderived atoms after 2 rounds:")
     for i in range(graph.n_facts, graph.n_atoms):

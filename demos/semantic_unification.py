@@ -22,7 +22,6 @@ from deixis import (
     parse_program,
     render_program,
     scene_graph_to_facts,
-    scene_universe,
     scene_vocabularies,
     unify_program,
 )
@@ -81,12 +80,9 @@ def main() -> None:
 
     # Facts are built for the unified program, which reads barge facts.
     facts, values = scene_graph_to_facts(SCENE, unified)
-    graph = build_reasoning_graph(
-        unified, facts, universe=scene_universe(unified, [SCENE])
-    )
+    graph = build_reasoning_graph(unified, facts)
     cfg = ReasonerConfig()
-    v = forward(graph, graph.initial_valuation(values),
-                np.ones(len(unified.rules)), cfg)
+    v = forward(graph, graph.initial_valuation(values), graph.weights, cfg)
     predictions = extract_targets(graph, v, SCENE, cfg,
                                   rng=np.random.default_rng(0))
     print("\npredictions:")

@@ -33,7 +33,6 @@ from .scene import (
     load_scene_graphs,
     parse_scene_graph,
     scene_graph_to_facts,
-    scene_universe,
 )
 from .grounding import (
     GroundRule,
@@ -127,7 +126,6 @@ __all__ = [
     # scene
     "Box", "DanglingReference", "SceneGraph", "SceneObject", "SceneRelation",
     "load_scene_graphs", "parse_scene_graph", "scene_graph_to_facts",
-    "scene_universe",
     # grounding
     "GroundRule", "ReasoningGraph", "UniverseTooLarge",
     "build_reasoning_graph", "ground_program", "grounding_universe",

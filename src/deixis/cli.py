@@ -67,7 +67,6 @@ from .scene import (
     SceneGraph,
     load_scene_graphs,
     scene_graph_to_facts,
-    scene_universe,
 )
 from .training import (
     TrainConfig,
@@ -190,14 +189,9 @@ def cmd_reason(args) -> int:
                 "unresolved": list(report.unresolved),
             }
         facts, fact_values = scene_graph_to_facts(sg, scene_program)
-        graph = build_reasoning_graph(
-            scene_program, facts, universe=scene_universe(scene_program, [sg])
-        )
-        weights = np.array(
-            [r.weight for r in scene_program.rules], dtype=np.float64
-        )
+        graph = build_reasoning_graph(scene_program, facts)
         v_final, tape = forward(
-            graph, graph.initial_valuation(fact_values), weights,
+            graph, graph.initial_valuation(fact_values), graph.weights,
             reasoner_cfg, record=True,
         )
         predictions = extract_targets(graph, v_final, sg, reasoner_cfg, rng=rng)
@@ -419,12 +413,9 @@ def _pipeline_predictions(
 ) -> list[tuple]:
     program = template_rulegen(inst.structured)
     facts, fact_values = scene_graph_to_facts(sg, program)
-    graph = build_reasoning_graph(
-        program, facts, universe=scene_universe(program, [sg])
-    )
-    weights = np.array([r.weight for r in program.rules], dtype=np.float64)
+    graph = build_reasoning_graph(program, facts)
     v_final = forward(
-        graph, graph.initial_valuation(fact_values), weights, reasoner_cfg
+        graph, graph.initial_valuation(fact_values), graph.weights, reasoner_cfg
     )
     # A fallback draw seeds from reasoner_cfg.rng_seed afresh per instance.
     predictions = extract_targets(graph, v_final, sg, reasoner_cfg)

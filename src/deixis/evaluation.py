@@ -96,11 +96,15 @@ def average_precision(
     if not answers or not predictions:
         return 0.0
     _, flags, _ = _match(predictions, answers, match_iou, score_key)
+    return _precision_area(flags, len(answers))
 
+
+def _precision_area(flags: list[bool], n_answers: int) -> float:
+    """AP of ranked true-positive flags against ``n_answers`` answers."""
     tp = np.cumsum(np.asarray(flags, dtype=np.float64))
     ranks = np.arange(1, len(flags) + 1, dtype=np.float64)
     precision = tp / ranks
-    recall = tp / len(answers)
+    recall = tp / n_answers
 
     # Precision envelope over the recall axis (all-point interpolation).
     mrec = np.concatenate([[0.0], recall, [1.0]])
@@ -175,14 +179,13 @@ def evaluate_instances(instances, cfg: EvalConfig | None = None) -> EvalReport:
     for index, (predictions, answers) in enumerate(instances):
         predictions = list(predictions)
         answers = list(answers)
-        ap = average_precision(
-            predictions, answers, cfg.match_iou, cfg.score_key
-        )
+        ap = 0.0
         matches: tuple[tuple[int, int], ...] = ()
         if predictions and answers:
-            order, _, matched = _match(
+            order, flags, matched = _match(
                 predictions, answers, cfg.match_iou, cfg.score_key
             )
+            ap = _precision_area(flags, len(answers))
             matches = tuple(
                 (pred_i, ans_j)
                 for pred_i, ans_j in zip(order, matched)

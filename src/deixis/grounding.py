@@ -1,22 +1,23 @@
 """Rule grounding over scene constants and reasoning-graph construction.
 
-The grounding universe holds the constants that denote objects. For a
-scene it is read off the scene's canonical rows (``scene.scene_universe``)
-and passed in, so the facts themselves can be cut down to the ones the
-program reads. A hand-built fact set may leave it out; it is then taken
-from the facts: the constants in first argument position, then the
+The grounding universe holds the constants that denote objects, in
+first-seen order: the constants in first argument position, then the
 object-like constants (``obj<N>``/``sgg<N>``) elsewhere in the facts and in
-the program. Attribute constants inside rules (``boat``, ``cyan``) are
-never substituted.
+the program. It is the active domain of the facts (Abiteboul, Hull and
+Vianu, *Foundations of Databases*, 1995), read first from the argument
+names a fact set records of the full facts it was cut from
+(:class:`logic.FactSet`), then from its own facts. Facts cut down to what
+the program reads therefore ground over the same universe as the full
+facts. Attribute constants inside rules (``boat``, ``cyan``) are never
+substituted.
 
-Grounding is bottom-up evaluation over atom presence (Abiteboul, Hull and
-Vianu, *Foundations of Databases*, the chapter on Datalog evaluation): the
-input facts are present whatever their values, and a rule instance is built
-only when every body atom is a fact or the head of an instance built before
-it. Instances that could never fire, and the atoms only they mention, never
-enter the graph, so the reasoner gives no score to an atom without a
-derivation. Facts keep their nodes even at value 0, so gradients reach
-every fact.
+Grounding is bottom-up evaluation over atom presence (the same book, the
+chapter on Datalog evaluation): the input facts are present whatever their
+values, and a rule instance is built only when every body atom is a fact or
+the head of an instance built before it. Instances that could never fire,
+and the atoms only they mention, never enter the graph, so the reasoner
+gives no score to an atom without a derivation. Facts keep their nodes even
+at value 0, so gradients reach every fact.
 
 What grounding does with a program depends only on its shape: the
 predicates numbered by first appearance, the variable names, and where the
@@ -36,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .logic import Atom, FactSet, Predicate, Program, Term
-from .scene import object_universe
+from .scene import _object_like
 
 __all__ = [
     "GroundRule",
@@ -61,15 +62,27 @@ class GroundRule:
     rule_index: int
 
 
+def _universe(program: Program, facts: FactSet) -> tuple[str, ...]:
+    """The names of :func:`grounding_universe`."""
+    seen = dict.fromkeys(facts.leads)
+    seen.update(dict.fromkeys(fact.args[0].name for fact in facts))
+    for names in (facts.later, (t.name for fact in facts for t in fact.args[1:])):
+        seen.update((name, None) for name in names if _object_like(name))
+    for rule in program.rules:
+        for a in (rule.head, *rule.body):
+            for t in a.args:
+                if t.is_constant and _object_like(t.name):
+                    seen.setdefault(t.name)
+    return tuple(seen)
+
+
 def grounding_universe(program: Program, facts: FactSet) -> tuple[Term, ...]:
-    """Constants eligible for variable substitution, in first-seen order,
-    taken from a fact set: its first arguments, then its other object-like
-    arguments, then the object-like constants of the program."""
-    return object_universe(
-        program,
-        (fact.args[0].name for fact in facts),
-        (t.name for fact in facts for t in fact.args[1:]),
-    )
+    """Constants eligible for variable substitution, in first-seen order:
+    the first arguments of the facts, then their other object-like
+    arguments, then the object-like constants of the program. The names a
+    fact set records of the full facts it was cut from come before its own
+    at each step."""
+    return tuple(Term(name) for name in _universe(program, facts))
 
 
 def _shape(program: Program) -> tuple[tuple, tuple[Predicate, ...]]:
@@ -227,7 +240,6 @@ def ground_program(
     program: Program,
     facts: FactSet,
     *,
-    universe: tuple[Term, ...] | None = None,
     max_groundings: int = 10**7,
 ) -> list[GroundRule]:
     """Ground the rule instances that can fire.
@@ -240,8 +252,7 @@ def ground_program(
     join orders come from the plan cached for the program's shape. Each
     body atom joins, through a hash index on its bound argument positions,
     against the facts plus the heads derived so far, binding variables only
-    to constants of the grounding ``universe``; without one, the universe
-    is :func:`grounding_universe` of the program and the facts.
+    to constants of :func:`grounding_universe`.
 
     The result holds every instance over the universe whose body atoms are
     all present, ordered by rule index and then by join order: extensional
@@ -252,15 +263,14 @@ def ground_program(
     """
     shape, predicates = _shape(program)
     plan = _plan(shape)
-    if universe is None:
-        universe = grounding_universe(program, facts)
+    universe = _universe(program, facts)
     for rule_index, n_vars in enumerate(plan.n_vars):
         if n_vars and len(universe) ** n_vars > max_groundings:
             raise UniverseTooLarge(
                 f"rule {rule_index}: {len(universe)}^{n_vars} candidate "
                 f"substitutions exceed the cap of {max_groundings}"
             )
-    rank = {t.name: i for i, t in enumerate(universe)}
+    rank = {name: i for i, name in enumerate(universe)}
 
     # Present atoms by predicate, keyed by argument names: the facts in
     # fact-store order, then derived heads in derivation order.
@@ -378,16 +388,19 @@ class ReasoningGraph:
     One conjunction node per ground rule; each has one or more body atoms
     (atom -> conj edges) and exactly one head atom (conj -> atom edge).
     The first ``n_facts`` atom nodes are the input facts in fact-store
-    order, so fact valuations align with atom node ids. ``defines_target``
-    records whether the program has a target/1 rule, which a graph without
-    target/1 atoms cannot show. Immutable after construction.
+    order, so fact valuations align with atom node ids. ``weights`` holds
+    the program's rule weights (read-only), one per rule, and
+    ``target_atoms`` the node ids of the target/1 atoms, facts included,
+    in node order. ``defines_target`` records whether the program has a
+    target/1 rule, which a graph without target/1 atoms cannot show.
+    Immutable after construction.
     """
 
     def __init__(
         self,
         ground_rules: list[GroundRule],
         facts: FactSet,
-        n_rules: int,
+        weights,
         defines_target: bool,
     ):
         atoms: list[Atom] = list(facts)
@@ -437,13 +450,22 @@ class ReasoningGraph:
             for start, end in zip(group_starts, group_starts[1:] + [len(grouped)])
         ]
 
+        weights = np.array(weights, dtype=np.float64)
+        weights.flags.writeable = False
+
         self.atoms: tuple[Atom, ...] = tuple(atoms)
         self.atom_index: dict[Atom, int] = index
         self.n_facts: int = len(facts)
         self.n_atoms: int = len(atoms)
         self.n_conj: int = len(ground_rules)
-        self.n_rules: int = n_rules
+        self.weights: np.ndarray = weights
+        self.n_rules: int = len(weights)
         self.defines_target: bool = defines_target
+        self.target_atoms: tuple[int, ...] = tuple(
+            i
+            for i, a in enumerate(atoms)
+            if a.predicate.name == "target" and a.predicate.arity == 1
+        )
 
         self.conj_head = np.array(head_idx, dtype=np.int64)
         self.conj_rule = np.array(rule_idx, dtype=np.int64)
@@ -501,24 +523,19 @@ def build_reasoning_graph(
     program: Program,
     facts: FactSet,
     *,
-    universe: tuple[Term, ...] | None = None,
     max_groundings: int = 10**7,
 ) -> ReasoningGraph:
     """Ground a program against facts and pack it into a ReasoningGraph.
 
     Atom nodes are deduplicated; every input fact has a node even when no
-    rule touches it. The graph's rule-weight vector is sized by the
-    program, so rules without groundings still own a weight slot, and the
-    graph records whether the program defines target/1 even when no
-    target atom is derivable. ``universe`` is passed to
-    :func:`ground_program`.
+    rule touches it. The graph carries the program's rule weights, so rules
+    without groundings still own a weight slot, and records whether the
+    program defines target/1 even when no target atom is derivable.
     """
-    ground_rules = ground_program(
-        program, facts, universe=universe, max_groundings=max_groundings
-    )
+    ground_rules = ground_program(program, facts, max_groundings=max_groundings)
     return ReasoningGraph(
         ground_rules,
         facts,
-        n_rules=len(program.rules),
+        weights=[r.weight for r in program.rules],
         defines_target=_TARGET in program.intensional_predicates,
     )

@@ -371,13 +371,15 @@ def backward(
 
 @dataclass(frozen=True)
 class TargetPrediction:
-    """One predicted target object with its score and provenance flag."""
+    """One predicted target object with its score and provenance: the node
+    id of its target atom in the graph, or None for a fallback."""
 
     object_constant: Term
     object_id: int
     box: Box
     score: float
     fallback: bool = False
+    node: int | None = None
 
 
 def extract_targets(
@@ -404,12 +406,7 @@ def extract_targets(
             f"graph has {graph.n_atoms} atoms"
         )
 
-    target_atoms = [
-        (i, a)
-        for i, a in enumerate(graph.atoms)
-        if a.predicate.name == "target" and a.predicate.arity == 1
-    ]
-    if not target_atoms and not graph.defines_target:
+    if not graph.target_atoms and not graph.defines_target:
         raise NoTargetAtoms("the program has no target/1 rule")
 
     constants = object_constants(sg)
@@ -419,14 +416,15 @@ def extract_targets(
     }
 
     scored = []
-    for i, atom_ in target_atoms:
-        entry = by_constant.get(atom_.args[0].name)
+    for i in graph.target_atoms:
+        constant = graph.atoms[i].args[0]
+        entry = by_constant.get(constant.name)
         if entry is None:
             continue  # grounding noise, e.g. target(sgg1)
         position, obj = entry
         score = float(v_final[i])
         if score > cfg.target_threshold:
-            scored.append((position, obj, atom_.args[0], score))
+            scored.append((position, obj, constant, score, i))
 
     if scored:
         scored.sort(key=lambda t: (-t[3], t[0]))
@@ -436,8 +434,9 @@ def extract_targets(
                 object_id=obj.object_id,
                 box=obj.box,
                 score=score,
+                node=i,
             )
-            for _, obj, constant, score in scored
+            for _, obj, constant, score, i in scored
         ]
 
     if not sg.objects:

@@ -7,17 +7,16 @@ name.
 
 One canonical pass per scene graph (:class:`SceneRows`, kept on the graph)
 turns it into plain rows ``(predicate, argument names, value)`` in fact
-order, without building a term or an atom. Three things are read off the
+order, without building a term or an atom. Two things are read off the
 rows:
 
 - the facts: :func:`scene_graph_to_facts` given a program builds atoms only
   for the rows that one of its body atoms can read. This is magic sets
   applied to the fact side (Bancilhon, Maier, Sagiv and Ullman, PODS 1986;
-  Beeri and Ramakrishnan, J. Logic Programming 1991);
-- the grounding universe: :func:`scene_universe` gives the constants a
-  variable may bind to, the same ones, in the same order, as the full
-  facts would give, so grounding builds the same rule instances from
-  fewer facts;
+  Beeri and Ramakrishnan, J. Logic Programming 1991). The fact set records
+  the argument names of all the rows, so grounding binds variables to the
+  same constants, in the same order, as over the full facts: cutting the
+  facts leaves the active domain as it was;
 - the unifier's vocabularies (``unify.scene_vocabularies``).
 """
 
@@ -28,8 +27,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
-from typing import Container, Iterable, Sequence
+from itertools import repeat
+from typing import Container
 
 import numpy as np
 
@@ -47,9 +46,7 @@ __all__ = [
     "canon_constant",
     "canon_predicate",
     "object_constants",
-    "object_universe",
     "scene_rows",
-    "scene_universe",
     "scene_graph_to_facts",
     "tagged_predicate",
     "parse_scene_graph",
@@ -289,45 +286,6 @@ def scene_rows(sg: SceneGraph) -> SceneRows:
     return rows
 
 
-def object_universe(
-    program: Program, leads: Iterable[str], later: Iterable[str]
-) -> tuple[Term, ...]:
-    """The constants that grounding may bind variables to, in first-seen
-    order: the names in ``leads`` (first argument positions), then the
-    object-like names among ``later`` (other argument positions), then the
-    object-like constants of ``program``. Attribute constants such as
-    ``boat`` stay out unless some fact puts them first."""
-    seen = dict.fromkeys(leads)
-    seen.update((name, None) for name in later if _object_like(name))
-    for rule in program.rules:
-        for a in (rule.head, *rule.body):
-            for t in a.args:
-                if t.is_constant and _object_like(t.name):
-                    seen.setdefault(t.name)
-    return tuple(_term(name) for name in seen)
-
-
-def scene_universe(
-    program: Program,
-    scene_graphs: Sequence[SceneGraph],
-    tags: Sequence[str] | None = None,
-) -> tuple[Term, ...]:
-    """The grounding universe of ``program`` over the full facts of
-    ``scene_graphs`` pooled in order, each tagged with its entry of ``tags``
-    when given, as :func:`scene_graph_to_facts` builds them without a
-    program. Read off the canonical rows, so no fact is built for it."""
-    scenes = [scene_rows(sg) for sg in scene_graphs]
-    leads = chain.from_iterable(s.leads for s in scenes)
-    if tags is None:
-        later = chain.from_iterable(s.later for s in scenes)
-    else:
-        later = chain.from_iterable(
-            (*s.later[: s.tag_at], tag, *s.later[s.tag_at :]) if s.rows else ()
-            for s, tag in zip(scenes, tags, strict=True)
-        )
-    return object_universe(program, leads, later)
-
-
 def _demand(program: Program, arity: int) -> dict[str, list]:
     """Predicate name -> the constant patterns of the program's body atoms
     of ``arity``, each a tuple of (position, constant) pairs. A body atom
@@ -368,14 +326,20 @@ def scene_graph_to_facts(
     read are built: same predicate and arity, and the atom's constants at
     their positions (``type(Y,umbrella)`` reads only umbrella type facts).
     They keep their relative order and values. Grounding reads nothing
-    else, so the program grounds to the same rule instances, as long as it
-    is given the universe of the full facts (:func:`scene_universe`).
+    else, and the fact set records the argument names of every row (see
+    :class:`logic.FactSet`), so the program grounds to the same rule
+    instances as over the full facts.
     """
+    rows = scene_rows(sg)
+    later = rows.later
+    if tag is not None and rows.rows:
+        later = (*later[: rows.tag_at], tag, *later[rows.tag_at :])
     # Every row has two arguments, three with a tag.
     demand = None if program is None else _demand(program, 2 + (tag is not None))
     facts = FactSet()
+    facts.leads, facts.later = rows.leads, later
     values: list[float] = []
-    for name, args, value in scene_rows(sg).rows:
+    for name, args, value in rows.rows:
         if tag is not None:
             name, args = tagged_predicate(name), (*args, tag)
         if demand is not None:

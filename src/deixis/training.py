@@ -37,13 +37,7 @@ from .reasoner import (
     extract_targets,
     forward,
 )
-from .scene import (
-    Box,
-    SceneGraph,
-    scene_graph_to_facts,
-    scene_universe,
-    tagged_predicate,
-)
+from .scene import Box, SceneGraph, scene_graph_to_facts, tagged_predicate
 
 _BCE_EPS = 1e-7
 
@@ -279,36 +273,23 @@ def mixture_facts(
 
     With a ``program`` (the specialized program plus its merge rules), only
     the tagged facts that one of its body atoms can read are built, as in
-    :func:`scene.scene_graph_to_facts`.
+    :func:`scene.scene_graph_to_facts`. The pooled set carries the names
+    each source records, so it grounds like the full pooled facts.
     """
     graphs = _source_graphs(sources, scene_graphs)
-    facts = FactSet()
-    values: list[float] = []
+    parts = [
+        scene_graph_to_facts(sg, program, tag=tag)
+        for sg, tag in zip(graphs, _source_tags(len(graphs)))
+    ]
     # Every fact ends in its source's tag, so sources never share a fact.
-    for sg, tag in zip(graphs, _source_tags(len(graphs))):
-        source_facts, source_values = scene_graph_to_facts(sg, program, tag=tag)
-        for fact in source_facts:
-            facts.add(fact)
-        values.extend(source_values.tolist())
-    return facts, np.array(values, dtype=np.float64)
-
-
-def mixture_universe(
-    sources: tuple[str, ...],
-    scene_graphs: dict[str, SceneGraph],
-    program: Program,
-) -> tuple[Term, ...]:
-    """The grounding universe of ``program`` over the full pooled facts of
-    :func:`mixture_facts`, read off the sources' canonical rows."""
-    graphs = _source_graphs(sources, scene_graphs)
-    return scene_universe(program, graphs, _source_tags(len(graphs)))
+    facts = FactSet.pool(part for part, _ in parts)
+    return facts, np.concatenate([np.empty(0), *(values for _, values in parts)])
 
 
 @dataclass
 class _GroundedExample:
     graph: ReasoningGraph
     v0: np.ndarray
-    weights_base: np.ndarray
     merge_indices: np.ndarray
     extraction_sg: SceneGraph
     answer_boxes: list[Box]
@@ -319,19 +300,13 @@ def _ground_example(task: MixtureTask, example: TrainingExample) -> _GroundedExa
     combined = Program(specialized.rules + task.program_template.rules)
     merge_offset = len(specialized.rules)
     facts, fact_values = mixture_facts(task.sources, example.scene_graphs, combined)
-    graph = build_reasoning_graph(
-        combined,
-        facts,
-        universe=mixture_universe(task.sources, example.scene_graphs, combined),
-    )
-    weights_base = np.array([r.weight for r in combined.rules], dtype=np.float64)
+    graph = build_reasoning_graph(combined, facts)
     merge_indices = np.arange(
         merge_offset, merge_offset + len(task.sources), dtype=np.int64
     )
     return _GroundedExample(
         graph=graph,
         v0=graph.initial_valuation(fact_values),
-        weights_base=weights_base,
         merge_indices=merge_indices,
         extraction_sg=example.scene_graphs[task.sources[0]],
         answer_boxes=[a.box for a in example.instance.answers],
@@ -347,7 +322,7 @@ def _example_loss_and_grad(
 ) -> tuple[float, np.ndarray]:
     """BCE loss for one example and its gradient with respect to theta."""
     graph = grounded.graph
-    weights = grounded.weights_base.copy()
+    weights = graph.weights.copy()
     w = sigmoid(theta)
     weights[grounded.merge_indices] = w
 
@@ -364,15 +339,11 @@ def _example_loss_and_grad(
     d_scores = bce_grad(scores, labels)
 
     loss_grad = np.zeros(graph.n_atoms, dtype=np.float64)
-    target = Predicate("target", 1)
     any_path = False
     for pred, d in zip(predictions, d_scores):
-        if pred.fallback:
-            continue  # sampled score: constant with respect to the weights
-        atom_ = Atom(target, (pred.object_constant,))
-        index = graph.atom_index.get(atom_)
-        if index is not None:
-            loss_grad[index] += d
+        # A fallback's score is sampled: constant with respect to the weights.
+        if pred.node is not None:
+            loss_grad[pred.node] += d
             any_path = True
     if not any_path:
         return loss, np.zeros_like(theta)
@@ -415,7 +386,7 @@ def evaluate_mixture(
     instances = []
     for example in data:
         grounded = task.grounded(example)
-        weights = grounded.weights_base.copy()
+        weights = grounded.graph.weights.copy()
         weights[grounded.merge_indices] = sigmoid(theta)
         v_final = forward(grounded.graph, grounded.v0, weights, reasoner_cfg)
         predictions = extract_targets(

@@ -1,5 +1,6 @@
 """Demand-driven facts: building only the facts a program can read, with the
-universe and the vocabularies read off the scene, changes no prediction.
+universe taken from the argument names the cut facts record and the
+vocabularies read off the scene, changes no prediction.
 
 The references in ``oracles`` derive the universe and the vocabularies
 from the full fact set, as the pipeline did before it cut the facts down.
@@ -8,8 +9,20 @@ from the full fact set, as the pipeline did before it cut the facts down.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from deixis.grounding import build_reasoning_graph, ground_program
-from deixis.logic import Atom, Predicate, Program, Rule, Term, parse_program
+from deixis.grounding import (
+    build_reasoning_graph,
+    ground_program,
+    grounding_universe,
+)
+from deixis.logic import (
+    Atom,
+    FactSet,
+    Predicate,
+    Program,
+    Rule,
+    Term,
+    parse_program,
+)
 from deixis.reasoner import ReasonerConfig, extract_targets, forward
 from deixis.scene import (
     Box,
@@ -17,14 +30,8 @@ from deixis.scene import (
     SceneObject,
     SceneRelation,
     scene_graph_to_facts,
-    scene_universe,
 )
-from deixis.training import (
-    make_merge_rules,
-    mixture_facts,
-    mixture_universe,
-    specialize_program,
-)
+from deixis.training import make_merge_rules, mixture_facts, specialize_program
 from deixis.unify import EmbeddingStore, scene_vocabularies, unify_program
 
 from oracles import reference_universe, reference_vocabularies
@@ -154,14 +161,13 @@ CONFIG = st.builds(
 )
 
 
-def _reference_terms(program, facts):
-    return tuple(Term(name) for name in reference_universe(program, facts))
+def _names(universe):
+    return tuple(t.name for t in universe)
 
 
-def _outcome(graph, values, program, sg, cfg):
+def _outcome(graph, values, sg, cfg):
     """Ground instances and (object, score, box, fallback) predictions."""
-    weights = np.array([r.weight for r in program.rules], dtype=np.float64)
-    v = forward(graph, graph.initial_valuation(values), weights, cfg)
+    v = forward(graph, graph.initial_valuation(values), graph.weights, cfg)
     predictions = extract_targets(
         graph, v, sg, cfg, rng=np.random.default_rng(cfg.rng_seed)
     )
@@ -186,17 +192,17 @@ def _outcome(graph, values, program, sg, cfg):
 
 def _demand_and_full(sg, program, cfg):
     facts, values = scene_graph_to_facts(sg, program)
-    demand = build_reasoning_graph(
-        program, facts, universe=scene_universe(program, [sg])
-    )
+    demand = build_reasoning_graph(program, facts)
     full_facts, full_values = scene_graph_to_facts(sg)
-    full = build_reasoning_graph(
-        program, full_facts, universe=_reference_terms(program, full_facts)
-    )
+    # A copy records no names: its universe comes from its own facts.
+    full = build_reasoning_graph(program, FactSet(full_facts))
     assert len(facts) <= len(full_facts)
+    assert _names(grounding_universe(program, facts)) == reference_universe(
+        program, full_facts
+    )
     return (
-        _outcome(demand, values, program, sg, cfg),
-        _outcome(full, full_values, program, sg, cfg),
+        _outcome(demand, values, sg, cfg),
+        _outcome(full, full_values, sg, cfg),
     )
 
 
@@ -209,10 +215,38 @@ def test_demand_driven_predictions_equal_full_fact_predictions(sg, program, cfg)
 
 @settings(max_examples=200, deadline=None)
 @given(scene_graphs(), programs())
-def test_scene_universe_equals_the_full_fact_universe(sg, program):
+def test_cut_fact_universe_equals_the_full_fact_universe(sg, program):
     full_facts, _ = scene_graph_to_facts(sg)
-    got = tuple(t.name for t in scene_universe(program, [sg]))
-    assert got == reference_universe(program, full_facts)
+    expected = reference_universe(program, full_facts)
+    facts, _ = scene_graph_to_facts(sg, program)
+    for fact_set in (facts, full_facts, FactSet(full_facts)):
+        assert _names(grounding_universe(program, fact_set)) == expected
+
+
+def test_cut_facts_ground_like_the_full_facts():
+    # Cut to its on facts, this scene lists obj2 first; the full facts list
+    # obj1 first, which sets the order of the intensional join.
+    sg = SceneGraph(
+        1,
+        (
+            SceneObject(1, ("man",), Box(0, 0, 5, 5)),
+            SceneObject(2, ("boat",), Box(5, 0, 5, 5)),
+        ),
+        (
+            SceneRelation(1, "near", 2),
+            SceneRelation(2, "on", 1),
+            SceneRelation(1, "on", 2),
+        ),
+    )
+    program = parse_program("cond1(X):-on(X,Y).\ntarget(X):-cond1(X).\n")
+    facts, _ = scene_graph_to_facts(sg, program)
+    full_facts, _ = scene_graph_to_facts(sg)
+    assert [str(f) for f in facts] == ["on(obj2,obj1)", "on(obj1,obj2)"]
+    cut = ground_program(program, facts)
+    assert cut == ground_program(program, FactSet(full_facts))
+    assert [str(g.head) for g in cut if g.rule_index == 1] == [
+        "target(obj1)", "target(obj2)",
+    ]
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,19 +290,16 @@ def test_mixture_demand_matches_full_facts(first, second, program, cfg):
         specialize_program(program).rules + make_merge_rules(len(sources))
     )
     full_facts, full_values = mixture_facts(sources, graphs)
-    universe = mixture_universe(sources, graphs, combined)
-    assert tuple(t.name for t in universe) == reference_universe(
-        combined, full_facts
-    )
-
     facts, values = mixture_facts(sources, graphs, combined)
+    expected = reference_universe(combined, full_facts)
+    for fact_set in (facts, full_facts, FactSet(full_facts)):
+        assert _names(grounding_universe(combined, fact_set)) == expected
+
     assert set(facts) <= set(full_facts)
-    demand = build_reasoning_graph(combined, facts, universe=universe)
-    full = build_reasoning_graph(
-        combined, full_facts, universe=_reference_terms(combined, full_facts)
-    )
-    assert _outcome(demand, values, combined, first, cfg) == _outcome(
-        full, full_values, combined, first, cfg
+    demand = build_reasoning_graph(combined, facts)
+    full = build_reasoning_graph(combined, FactSet(full_facts))
+    assert _outcome(demand, values, first, cfg) == _outcome(
+        full, full_values, first, cfg
     )
 
 
@@ -296,6 +327,6 @@ def test_demand_keeps_only_readable_facts():
     assert values.tolist() == [0.75, 1.0]
     # First arguments, then object-like names elsewhere: obj3 only ever
     # comes second, and obj7 is the name "Obj 7".
-    universe = scene_universe(program, [sg])
+    universe = grounding_universe(program, facts)
     assert [t.name for t in universe] == ["obj1", "obj2", "obj3", "obj7"]
-    assert len(ground_program(program, facts, universe=universe)) == 2
+    assert len(ground_program(program, facts)) == 2

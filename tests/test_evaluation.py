@@ -141,10 +141,14 @@ def test_matches_reference_implementation(case, match_iou):
     predictions = [(Box(*b), s) for b, s in raw_predictions]
     answers = boxes(raw_answers)
     ours = average_precision(predictions, answers, match_iou=match_iou)
+    report = evaluate_instances(
+        [(predictions, answers)], EvalConfig(match_iou=match_iou)
+    )
     reference = oracle_average_precision(
         raw_predictions, raw_answers, match_iou
     )
     assert ours == pytest.approx(reference, abs=1e-12)
+    assert report.per_instance[0].ap == pytest.approx(reference, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

@@ -151,6 +151,31 @@ def test_reasoning_graph_layout():
     assert set(graph.conj_head) == set(graph.updated_atoms)
 
 
+def test_graph_carries_read_only_rule_weights():
+    program = parse_program("0.25: cond1(X):-on(X,Y).\ntarget(X):-cond1(X).\n")
+    graph = build_reasoning_graph(program, FactSet([atom("on", "obj1", "obj2")]))
+    assert graph.weights.tolist() == [0.25, 1.0]
+    assert graph.weights.dtype == np.float64
+    with pytest.raises(ValueError):
+        graph.weights[0] = 0.5
+    with pytest.raises(ValueError):
+        graph.weights += 1.0
+    assert graph.weights.tolist() == [0.25, 1.0]
+
+
+def test_recorded_names_come_before_the_facts_own():
+    program = parse_program("cond1(X):-near(X,Y).\ntarget(X):-cond1(X),on(X,obj9).")
+    facts = FactSet([atom("on", "obj2", "obj1")])
+    facts.leads, facts.later = ("obj1", "obj2"), ("obj3", "obj1")
+    names = [t.name for t in grounding_universe(program, facts)]
+    assert names == ["obj1", "obj2", "obj3", "obj9"]
+    # A fact added later widens the universe as it would the full facts:
+    # its first argument after every recorded one, its others after theirs.
+    facts.add(atom("near", "obj5", "obj4"))
+    names = [t.name for t in grounding_universe(program, facts)]
+    assert names == ["obj1", "obj2", "obj5", "obj3", "obj4", "obj9"]
+
+
 def test_initial_valuation_aligns_with_facts():
     program = parse_program(PROGRAM_1)
     facts = boat_scene_facts()

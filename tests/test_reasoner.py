@@ -251,6 +251,26 @@ def test_extract_targets_requires_target_atoms():
         extract_targets(graph, v, sg, cfg)
 
 
+def test_target_fact_is_predicted_at_its_node():
+    sg = make_scene()
+    # No on fact: the target rule cannot fire, so only the fact scores.
+    program = parse_program("target(X):-on(X,Y).")
+    facts = FactSet([atom("type", "obj2", "boat"), atom("target", "obj1")])
+    graph = build_reasoning_graph(program, facts)
+    assert graph.n_conj == 0
+    assert graph.target_atoms == (1,)
+    cfg = ReasonerConfig()
+    v = forward(graph, graph.initial_valuation(np.ones(2)), graph.weights, cfg)
+    [prediction] = extract_targets(graph, v, sg, cfg)
+    assert (prediction.object_id, prediction.fallback) == (1, False)
+    assert prediction.node == 1
+    assert graph.atoms[prediction.node] == atom("target", "obj1")
+    # At value 0 the fact stays under the threshold: a fallback, no node.
+    v = forward(graph, graph.initial_valuation([1.0, 0.0]), graph.weights, cfg)
+    [prediction] = extract_targets(graph, v, sg, cfg)
+    assert prediction.fallback and prediction.node is None
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 10_000))
 def test_forward_stays_in_unit_interval(seed):
