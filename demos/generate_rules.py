@@ -37,8 +37,8 @@ def run(label: str, fixture: list[dict]) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(fixture, fh)
         client = FixtureClient.load(path)
-    program, meta = generate_program(DEICTIC, PREDICATES, RulegenConfig(),
-                                     client=client, predicates=PREDICATES)
+    program, meta = generate_program(DEICTIC, RulegenConfig(), client=client,
+                                     predicates=PREDICATES)
     print(render_program(program))
     print(f"repaired: {meta['repaired']}\n")
 

@@ -60,7 +60,7 @@ def main() -> None:
     print(f"\n{graph!r}")
 
     cfg = ReasonerConfig(gamma=0.01, steps=2)
-    v = forward(graph, graph.initial_valuation(values), graph.weights, cfg)
+    v = forward(graph, values, graph.weights, cfg)
 
     print("\nderived atoms after 2 rounds:")
     for i in range(graph.n_facts, graph.n_atoms):

@@ -82,7 +82,7 @@ def main() -> None:
     facts, values = scene_graph_to_facts(SCENE, unified)
     graph = build_reasoning_graph(unified, facts)
     cfg = ReasonerConfig()
-    v = forward(graph, graph.initial_valuation(values), graph.weights, cfg)
+    v = forward(graph, values, graph.weights, cfg)
     predictions = extract_targets(graph, v, SCENE, cfg,
                                   rng=np.random.default_rng(0))
     print("\npredictions:")

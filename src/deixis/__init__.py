@@ -46,7 +46,6 @@ from .reasoner import (
     DimensionMismatch,
     NoTargetAtoms,
     ReasonerConfig,
-    TapeMissing,
     TargetPrediction,
     backward,
     extract_targets,
@@ -130,8 +129,8 @@ __all__ = [
     "GroundRule", "ReasoningGraph", "UniverseTooLarge",
     "build_reasoning_graph", "ground_program", "grounding_universe",
     # reasoner
-    "DimensionMismatch", "NoTargetAtoms", "ReasonerConfig", "TapeMissing",
-    "TargetPrediction", "backward", "extract_targets", "forward", "softor",
+    "DimensionMismatch", "NoTargetAtoms", "ReasonerConfig", "TargetPrediction",
+    "backward", "extract_targets", "forward", "softor",
     # unify
     "EmbeddingStore", "MissingEmbedding",
     "UnificationReport", "nearest_term", "scene_vocabularies", "unify_program",

@@ -32,7 +32,6 @@ from . import __version__
 from .datasets import (
     DeicticInstance,
     InsufficientCandidates,
-    SchemaError,
     corrupt_scene_graph,
     generate_deiclevr,
     load_deivg,
@@ -42,32 +41,24 @@ from .datasets import (
     save_deivg,
     synthesize_deivg,
 )
-from .evaluation import EmptyEvaluation, EvalConfig, evaluate_instances
+from .evaluation import EvalConfig, evaluate_instances
 from .grounding import UniverseTooLarge, build_reasoning_graph
 from .logic import Program, parse_program, render_program, render_rule
 from .reasoner import (
     DimensionMismatch,
-    NoTargetAtoms,
     ReasonerConfig,
-    TapeMissing,
     extract_targets,
     forward,
 )
 from .rulegen import (
     FixtureClient,
-    FormatError,
     HttpChatClient,
     RulegenConfig,
     ServiceError,
     generate_program,
     template_rulegen,
 )
-from .scene import (
-    DanglingReference,
-    SceneGraph,
-    load_scene_graphs,
-    scene_graph_to_facts,
-)
+from .scene import SceneGraph, load_scene_graphs, scene_graph_to_facts
 from .training import (
     TrainConfig,
     TrainingExample,
@@ -145,7 +136,7 @@ def _load_program_for_prompt(args) -> tuple[Program, dict]:
             "enable --online with --llm-url"
         )
     program, meta = generate_program(
-        args.prompt, [], cfg, client=client, cot=args.cot
+        args.prompt, cfg, client=client, cot=args.cot
     )
     meta["source"] = "generated"
     return program, meta
@@ -191,8 +182,7 @@ def cmd_reason(args) -> int:
         facts, fact_values = scene_graph_to_facts(sg, scene_program)
         graph = build_reasoning_graph(scene_program, facts)
         v_final, tape = forward(
-            graph, graph.initial_valuation(fact_values), graph.weights,
-            reasoner_cfg, record=True,
+            graph, fact_values, graph.weights, reasoner_cfg, record=True
         )
         predictions = extract_targets(graph, v_final, sg, reasoner_cfg, rng=rng)
 
@@ -414,9 +404,7 @@ def _pipeline_predictions(
     program = template_rulegen(inst.structured)
     facts, fact_values = scene_graph_to_facts(sg, program)
     graph = build_reasoning_graph(program, facts)
-    v_final = forward(
-        graph, graph.initial_valuation(fact_values), graph.weights, reasoner_cfg
-    )
+    v_final = forward(graph, fact_values, graph.weights, reasoner_cfg)
     # A fallback draw seeds from reasoner_cfg.rng_seed afresh per instance.
     predictions = extract_targets(graph, v_final, sg, reasoner_cfg)
     return [(p.box, p.score) for p in predictions]
@@ -669,25 +657,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_required_settings(args)
         return args.func(args)
-    except (TapeMissing, DimensionMismatch) as exc:
+    except DimensionMismatch as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     except ServiceError as exc:
         print(f"service error: {exc}", file=sys.stderr)
         return 3
     except (
-        SchemaError,
-        FormatError,
         UniverseTooLarge,
-        NoTargetAtoms,
-        EmptyEvaluation,
         InsufficientCandidates,
-        DanglingReference,
         SyntaxError,
         ValueError,
         KeyError,
         OSError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

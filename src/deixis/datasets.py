@@ -322,8 +322,10 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _parse_box(record: dict, path: str) -> Box:
-    """A Box from the numeric x, y, w, h keys of ``record``."""
+def _parse_box(record, path: str) -> Box:
+    """A Box from the numeric x, y, w, h keys of the object ``record``."""
+    if not isinstance(record, dict):
+        raise SchemaError(path, "must be an {x, y, w, h} object")
     coords = {}
     for key in ("x", "y", "w", "h"):
         value = _require(record, key, f"{path}.{key}")
@@ -453,13 +455,12 @@ def load_predictions(path: str) -> list[list[tuple[Box, float]]]:
             ppath = f"{where}.predictions[{j}]"
             if not isinstance(entry, dict):
                 raise SchemaError(ppath, "prediction must be an object")
-            box = _require(entry, "box", f"{ppath}.box")
-            if not isinstance(box, dict):
-                raise SchemaError(f"{ppath}.box", "must be an {x, y, w, h} object")
+            bpath = f"{ppath}.box"
+            box = _parse_box(_require(entry, "box", bpath), bpath)
             score = _require(entry, "score", f"{ppath}.score")
             if not _is_number(score) or not math.isfinite(score):
                 raise SchemaError(f"{ppath}.score", "must be a finite number")
-            predictions.append((_parse_box(box, f"{ppath}.box"), float(score)))
+            predictions.append((box, float(score)))
         prediction_sets.append(predictions)
     return prediction_sets
 
@@ -742,15 +743,13 @@ def load_deiclevr(path: str) -> list[tuple[ClevrScene, str, int, Program]]:
             opath = f"{where}.objects[{j}]"
             if not isinstance(obj, dict):
                 raise SchemaError(opath, "object must be a JSON object")
+            color = _require(obj, "color", f"{opath}.color")
+            shape = _require(obj, "shape", f"{opath}.shape")
+            material = _require(obj, "material", f"{opath}.material")
+            bpath = f"{opath}.box"
+            box = _parse_box(_require(obj, "box", bpath), bpath)
             try:
-                objects.append(
-                    ClevrObject(
-                        color=_require(obj, "color", f"{opath}.color"),
-                        shape=_require(obj, "shape", f"{opath}.shape"),
-                        material=_require(obj, "material", f"{opath}.material"),
-                        box=Box.from_dict(_require(obj, "box", f"{opath}.box")),
-                    )
-                )
+                objects.append(ClevrObject(color, shape, material, box))
             except (ValueError, TypeError) as exc:
                 raise SchemaError(opath, str(exc)) from exc
         try:

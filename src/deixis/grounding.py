@@ -480,17 +480,6 @@ class ReasoningGraph:
         self.group_starts = np.array(group_starts, dtype=np.int64)
         self.group_sizes = np.array(group_sizes, dtype=np.int64)
 
-    def initial_valuation(self, fact_values: np.ndarray) -> np.ndarray:
-        """Embed a fact valuation into a full atom-node valuation vector."""
-        fact_values = np.asarray(fact_values, dtype=float)
-        if fact_values.shape != (self.n_facts,):
-            raise ValueError(
-                f"expected {self.n_facts} fact values, got {fact_values.shape}"
-            )
-        v0 = np.zeros(self.n_atoms, dtype=float)
-        v0[: self.n_facts] = fact_values
-        return v0
-
     def to_debug_dict(self) -> dict:
         """Structured dump of nodes and edges for inspection."""
         return {

@@ -146,13 +146,6 @@ class Rule:
             names = ", ".join(t.name for t in unbound)
             raise ValueError(f"head variable(s) {names} do not appear in the body")
 
-    @property
-    def variables(self) -> frozenset[Term]:
-        vs = set(self.head.variables)
-        for a in self.body:
-            vs.update(a.variables)
-        return frozenset(vs)
-
     def __str__(self) -> str:
         return render_rule(self)
 
@@ -279,10 +272,6 @@ class FactSet:
         if not isinstance(other, FactSet):
             return NotImplemented
         return self._atoms == other._atoms
-
-    @property
-    def atoms(self) -> tuple[Atom, ...]:
-        return tuple(self._atoms)
 
     def __repr__(self) -> str:
         return f"FactSet({len(self._atoms)} atoms)"

@@ -14,9 +14,13 @@ All soft ORs use the same log-sum-exp relaxation::
 which is exact for a single input and otherwise overshoots the maximum by at
 most ``gamma * log(n)``.
 
-``forward(record=True)`` returns a tape of per-round intermediates, and
-``backward`` replays it to produce exact reverse-mode gradients of any scalar
-loss with respect to the rule weights and the initial valuation.
+``forward`` takes one value per input fact (the graph's first ``n_facts``
+atoms) and starts every other atom at 0.  ``forward(record=True)`` also
+returns a tape holding the graph, the config, a read-only copy of the
+weights and the per-round intermediates; ``backward(tape, loss_grad)``
+replays it with nothing but the loss gradient, giving exact reverse-mode
+gradients of any scalar loss with respect to the rule weights and the fact
+values.
 """
 
 from __future__ import annotations
@@ -33,10 +37,6 @@ from .scene import Box, SceneGraph, object_constants
 
 class DimensionMismatch(ValueError):
     """A valuation or weight vector does not match the graph's shape."""
-
-
-class TapeMissing(RuntimeError):
-    """backward() needs a tape recorded by forward(record=True)."""
 
 
 class NoTargetAtoms(ValueError):
@@ -147,61 +147,51 @@ class _RoundRecord:
 
 @dataclass
 class Tape:
-    """Forward-pass recording that backward() replays in reverse."""
+    """Forward-pass recording that backward() replays in reverse: the graph
+    and config it ran under, a read-only copy of its weights, and the
+    intermediates of each round."""
 
-    gamma: float
-    steps: int
-    n_atoms: int
-    n_conj: int
-    n_rules: int
+    graph: ReasoningGraph
+    cfg: ReasonerConfig
     weights: np.ndarray
     rounds: list[_RoundRecord] = field(default_factory=list)
 
 
-def _check_shapes(
-    graph: ReasoningGraph, v0: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    v0 = np.asarray(v0, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if v0.shape != (graph.n_atoms,):
-        raise DimensionMismatch(
-            f"initial valuation has shape {v0.shape}, "
-            f"graph has {graph.n_atoms} atoms"
-        )
-    if weights.shape != (graph.n_rules,):
-        raise DimensionMismatch(
-            f"weight vector has shape {weights.shape}, "
-            f"graph has {graph.n_rules} rules"
-        )
-    return v0, weights
-
-
 def forward(
     graph: ReasoningGraph,
-    v0,
+    fact_values,
     weights,
     cfg: ReasonerConfig,
     record: bool = False,
 ):
     """Run ``cfg.steps`` rounds of soft forward chaining.
 
-    Returns the final atom valuation, or ``(valuation, tape)`` when
-    ``record`` is true.  The valuation of an atom never decreases across
-    rounds and is clamped to at most 1.0.
+    ``fact_values`` holds one value per input fact; every derived atom
+    starts at 0.  Returns the final atom valuation, or ``(valuation, tape)``
+    when ``record`` is true.  The valuation of an atom never decreases
+    across rounds and is clamped to at most 1.0.
     """
-    v0, weights = _check_shapes(graph, v0, weights)
+    fact_values = np.asarray(fact_values, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if fact_values.shape != (graph.n_facts,):
+        raise DimensionMismatch(
+            f"fact values have shape {fact_values.shape}, "
+            f"graph has {graph.n_facts} facts"
+        )
+    if weights.shape != (graph.n_rules,):
+        raise DimensionMismatch(
+            f"weight vector has shape {weights.shape}, "
+            f"graph has {graph.n_rules} rules"
+        )
     gamma = cfg.gamma
 
-    atoms = v0.copy()
+    atoms = np.zeros(graph.n_atoms, dtype=np.float64)
+    atoms[: graph.n_facts] = fact_values
     conjs = np.zeros(graph.n_conj, dtype=np.float64)
-    tape = Tape(
-        gamma=gamma,
-        steps=cfg.steps,
-        n_atoms=graph.n_atoms,
-        n_conj=graph.n_conj,
-        n_rules=graph.n_rules,
-        weights=weights.copy(),
-    )
+    if record:
+        weights = weights.copy()
+        weights.flags.writeable = False
+        tape = Tape(graph, cfg, weights)
 
     for _ in range(cfg.steps):
         atoms_prev = atoms
@@ -254,22 +244,14 @@ def forward(
     return atoms
 
 
-def backward(
-    graph: ReasoningGraph,
-    v0,
-    weights,
-    cfg: ReasonerConfig,
-    loss_grad,
-    tape: Tape | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact reverse-mode gradients through the recorded forward pass.
+def backward(tape: Tape, loss_grad) -> tuple[np.ndarray, np.ndarray]:
+    """Exact reverse-mode gradients through a recorded forward pass.
 
     ``loss_grad`` is d(loss)/d(final valuation).  Returns
-    ``(grad_weights, grad_v0)``.  When no tape is supplied the forward pass
-    is re-run with recording; a tape whose shape or config does not match
-    raises :class:`TapeMissing`.
+    ``(grad_weights, grad_facts)``, the latter with one entry per input
+    fact.
     """
-    v0, weights = _check_shapes(graph, v0, weights)
+    graph, gamma, weights = tape.graph, tape.cfg.gamma, tape.weights
     loss_grad = np.asarray(loss_grad, dtype=np.float64)
     if loss_grad.shape != (graph.n_atoms,):
         raise DimensionMismatch(
@@ -277,24 +259,6 @@ def backward(
             f"graph has {graph.n_atoms} atoms"
         )
 
-    if tape is None:
-        _, tape = forward(graph, v0, weights, cfg, record=True)
-    if not isinstance(tape, Tape) or not tape.rounds:
-        raise TapeMissing("backward() requires a tape from forward(record=True)")
-    if (
-        tape.n_atoms != graph.n_atoms
-        or tape.n_conj != graph.n_conj
-        or tape.n_rules != graph.n_rules
-        or tape.steps != cfg.steps
-        or tape.gamma != cfg.gamma
-        or not np.array_equal(tape.weights, weights)
-    ):
-        raise TapeMissing(
-            "tape does not match this graph/config/weights; "
-            "re-record with forward(record=True)"
-        )
-
-    gamma = cfg.gamma
     d_atoms = loss_grad.copy()
     d_conjs = np.zeros(graph.n_conj, dtype=np.float64)
     grad_weights = np.zeros(graph.n_rules, dtype=np.float64)
@@ -317,7 +281,7 @@ def backward(
             d_incoming = d_raw * share_in
 
             # incoming = segment softor over contrib[grouped_conj]
-            contrib = tape.weights[graph.conj_rule] * rec.conj_new
+            contrib = weights[graph.conj_rule] * rec.conj_new
             grouped = contrib[graph.grouped_conj]
             shares = _segment_softmax(
                 grouped, graph.group_starts, graph.group_sizes, gamma
@@ -331,7 +295,7 @@ def backward(
             np.add.at(
                 grad_weights, graph.conj_rule, d_contrib * rec.conj_new
             )
-            d_conj_new = d_contrib * tape.weights[graph.conj_rule] + d_conjs
+            d_conj_new = d_contrib * weights[graph.conj_rule] + d_conjs
 
             # conj_new = softor(conj_prev, products)
             share_c, share_p = _pair_softmax(
@@ -365,8 +329,9 @@ def backward(
             )
         d_atoms = d_atoms_prev
 
-    # d_conjs now refers to conj round 0, which is the zero constant.
-    return grad_weights, d_atoms
+    # d_conjs now refers to conj round 0, which is the zero constant, and
+    # every atom past the facts starts at the constant 0.
+    return grad_weights, d_atoms[: graph.n_facts]
 
 
 @dataclass(frozen=True)

@@ -162,10 +162,7 @@ class PromptBundle:
 
 
 def build_prompt(
-    deictic: str,
-    predicates,
-    cfg: RulegenConfig | None = None,
-    cot: bool = False,
+    deictic: str, predicates, *, cot: bool = False
 ) -> PromptBundle:
     """Assemble the chat prompt for a deictic sentence.
 
@@ -175,7 +172,6 @@ def build_prompt(
     asks only for the predicates; callers then re-prompt with the
     extracted list injected.
     """
-    del cfg  # reserved for model-specific prompt tweaks
     if not deictic:
         raise ValueError("deictic prompt must be non-empty")
     if cot:
@@ -359,7 +355,7 @@ def _extract_rule_lines(text: str) -> list[str]:
     return lines
 
 
-def validate_rules(text: str, scene_predicates=()) -> Program:
+def validate_rules(text: str) -> Program:
     """Parse a reply into a Program, enforcing the restricted format.
 
     Checks, each with its own error category:
@@ -375,10 +371,9 @@ def validate_rules(text: str, scene_predicates=()) -> Program:
       binary atom (``bad_condition_body``);
     * no two rules are duplicates up to renaming (``duplicate_rule``).
 
-    ``scene_predicates`` is advisory: relations outside it are left for
-    the semantic unifier rather than rejected here.
+    Relations the scene does not use are left for the semantic unifier
+    rather than rejected here.
     """
-    del scene_predicates
     issues: list[tuple[str, str]] = []
     rules: list[Rule] = []
     arities: dict[str, tuple[int, int]] = {}
@@ -520,8 +515,8 @@ REPAIR_INSTRUCTION = (
 
 def generate_program(
     deictic: str,
-    scene_predicates,
     cfg: RulegenConfig,
+    *,
     client: ChatClient | None = None,
     cot: bool = False,
     predicates=None,
@@ -539,7 +534,7 @@ def generate_program(
 
     if predicates is None:
         if cot:
-            pre = build_prompt(deictic, [], cfg, cot=True)
+            pre = build_prompt(deictic, [], cot=True)
             raw = request_rules(pre, cfg, client)
             predicates = [p.strip() for p in raw.split(",") if p.strip()]
             meta["predicate_reply"] = raw
@@ -547,7 +542,7 @@ def generate_program(
             predicates = []
     meta["predicates"] = list(predicates)
 
-    bundle = build_prompt(deictic, predicates, cfg)
+    bundle = build_prompt(deictic, predicates)
     raw = request_rules(bundle, cfg, client)
     meta["raw"] = raw
     try:

@@ -289,7 +289,7 @@ def mixture_facts(
 @dataclass
 class _GroundedExample:
     graph: ReasoningGraph
-    v0: np.ndarray
+    fact_values: np.ndarray
     merge_indices: np.ndarray
     extraction_sg: SceneGraph
     answer_boxes: list[Box]
@@ -306,7 +306,7 @@ def _ground_example(task: MixtureTask, example: TrainingExample) -> _GroundedExa
     )
     return _GroundedExample(
         graph=graph,
-        v0=graph.initial_valuation(fact_values),
+        fact_values=fact_values,
         merge_indices=merge_indices,
         extraction_sg=example.scene_graphs[task.sources[0]],
         answer_boxes=[a.box for a in example.instance.answers],
@@ -326,7 +326,9 @@ def _example_loss_and_grad(
     w = sigmoid(theta)
     weights[grounded.merge_indices] = w
 
-    v_final, tape = forward(graph, grounded.v0, weights, reasoner_cfg, record=True)
+    v_final, tape = forward(
+        graph, grounded.fact_values, weights, reasoner_cfg, record=True
+    )
     predictions = extract_targets(
         graph, v_final, grounded.extraction_sg, reasoner_cfg, rng=rng
     )
@@ -348,9 +350,7 @@ def _example_loss_and_grad(
     if not any_path:
         return loss, np.zeros_like(theta)
 
-    grad_weights, _ = backward(
-        graph, grounded.v0, weights, reasoner_cfg, loss_grad, tape
-    )
+    grad_weights, _ = backward(tape, loss_grad)
     grad_theta = grad_weights[grounded.merge_indices] * w * (1.0 - w)
     return loss, grad_theta
 
@@ -388,7 +388,9 @@ def evaluate_mixture(
         grounded = task.grounded(example)
         weights = grounded.graph.weights.copy()
         weights[grounded.merge_indices] = sigmoid(theta)
-        v_final = forward(grounded.graph, grounded.v0, weights, reasoner_cfg)
+        v_final = forward(
+            grounded.graph, grounded.fact_values, weights, reasoner_cfg
+        )
         predictions = extract_targets(
             grounded.graph, v_final, grounded.extraction_sg, reasoner_cfg, rng=rng
         )

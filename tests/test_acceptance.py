@@ -110,7 +110,7 @@ def test_criterion_01_boolean_oracle_equivalence():
         graph = build_reasoning_graph(program, facts)
         v = forward(
             graph,
-            graph.initial_valuation(np.ones(len(facts))),
+            np.ones(len(facts)),
             np.ones(len(program.rules)),
             cfg,
         )
@@ -200,7 +200,7 @@ def test_criterion_04_deivg_self_consistency():
             graph = build_reasoning_graph(program, facts)
             v = forward(
                 graph,
-                graph.initial_valuation(values),
+                values,
                 np.ones(len(program.rules)),
                 cfg,
             )
@@ -232,7 +232,7 @@ def test_criterion_05_deiclevr_matches_list_oracle():
             graph = build_reasoning_graph(program, facts)
             v = forward(
                 graph,
-                graph.initial_valuation(values),
+                values,
                 np.array([r.weight for r in program.rules]),
                 cfg,
             )

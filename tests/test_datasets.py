@@ -260,7 +260,7 @@ def test_clevr_reasoning_matches_oracle_spot_check():
         graph = build_reasoning_graph(program, facts)
         weights = np.array([r.weight for r in program.rules])
         cfg = ReasonerConfig(gamma=0.01, steps=2)
-        v = forward(graph, graph.initial_valuation(values), weights, cfg)
+        v = forward(graph, values, weights, cfg)
         got = extract_targets(graph, v, clevr_scene_graph(scene), cfg)
         assert len(got) == 1
         assert got[0].object_id - 1 == answer_index
@@ -307,6 +307,31 @@ def test_deiclevr_save_load_round_trip(tmp_path):
     save_deiclevr(instances, str(path))
     again = load_deiclevr(str(path))
     assert again == instances
+
+
+@pytest.mark.parametrize(
+    "box, message",
+    [
+        ({"y": 90, "w": 60, "h": 60},
+         "$[0].objects[0].box.x: missing required key 'x'"),
+        ({"x": 40, "y": True, "w": 60, "h": 60},
+         "$[0].objects[0].box.y: must be a number"),
+        ({"x": "12", "y": 90, "w": 60, "h": 60},
+         "$[0].objects[0].box.x: must be a number"),
+        ([40, 90, 60, 60],
+         "$[0].objects[0].box: must be an {x, y, w, h} object"),
+    ],
+    ids=["missing-x", "bool-y", "string-x", "not-an-object"],
+)
+def test_load_deiclevr_box_errors_name_their_path(tmp_path, box, message):
+    path = tmp_path / "clevr.json"
+    save_deiclevr(generate_deiclevr(1, "sort", seed=2), str(path))
+    records = json.loads(path.read_text())
+    records[0]["objects"][0]["box"] = box
+    path.write_text(json.dumps(records))
+    with pytest.raises(SchemaError) as err:
+        load_deiclevr(str(path))
+    assert str(err.value) == message
 
 
 def test_random_scene_graphs_shape():

@@ -167,7 +167,7 @@ def _names(universe):
 
 def _outcome(graph, values, sg, cfg):
     """Ground instances and (object, score, box, fallback) predictions."""
-    v = forward(graph, graph.initial_valuation(values), graph.weights, cfg)
+    v = forward(graph, values, graph.weights, cfg)
     predictions = extract_targets(
         graph, v, sg, cfg, rng=np.random.default_rng(cfg.rng_seed)
     )

@@ -176,15 +176,17 @@ def test_recorded_names_come_before_the_facts_own():
     assert names == ["obj1", "obj2", "obj5", "obj3", "obj4", "obj9"]
 
 
-def test_initial_valuation_aligns_with_facts():
+def test_forward_keeps_fact_values_when_no_rule_derives_a_fact():
+    # The fact values fill the graph's first n_facts atom nodes, in fact
+    # order; no rule head is a fact here, so forward leaves them as given.
     program = parse_program(PROGRAM_1)
     facts = boat_scene_facts()
     graph = build_reasoning_graph(program, facts)
+    assert graph.atoms[: graph.n_facts] == tuple(facts)
     values = np.linspace(0.1, 0.9, len(facts))
-    v0 = graph.initial_valuation(values)
-    assert v0.shape == (graph.n_atoms,)
-    assert np.array_equal(v0[: graph.n_facts], values)
-    assert np.all(v0[graph.n_facts :] == 0.0)
+    v = forward(graph, values, graph.weights, ReasonerConfig(steps=3))
+    assert v.shape == (graph.n_atoms,)
+    assert np.array_equal(v[: graph.n_facts], values)
 
 
 def test_ground_rule_head_can_be_existing_fact():
@@ -274,7 +276,7 @@ def test_underivable_atoms_score_zero(case, gamma, steps, seed):
     graph = build_reasoning_graph(program, facts)
     v = forward(
         graph,
-        graph.initial_valuation(rng.uniform(0.0, 1.0, len(facts))),
+        rng.uniform(0.0, 1.0, len(facts)),
         rng.uniform(0.0, 1.0, len(program)),
         ReasonerConfig(gamma=gamma, steps=steps),
     )

@@ -12,7 +12,6 @@ from deixis.reasoner import (
     DimensionMismatch,
     NoTargetAtoms,
     ReasonerConfig,
-    TapeMissing,
     backward,
     extract_targets,
     forward,
@@ -74,7 +73,7 @@ def test_softor_bounds(values, gamma):
 def test_forward_two_rounds_derives_target():
     _, facts, graph, weights = boat_scene_setup()
     cfg = ReasonerConfig(gamma=0.01, steps=2)
-    v = forward(graph, graph.initial_valuation(np.ones(len(facts))), weights, cfg)
+    v = forward(graph, np.ones(len(facts)), weights, cfg)
     target = v[graph.atom_index[atom("target", "obj1")]]
     assert target > 0.99
     assert np.all((v >= 0.0) & (v <= 1.0))
@@ -84,7 +83,7 @@ def test_forward_one_round_is_not_enough():
     # Conditions are derived in round one, target needs a second round.
     _, facts, graph, weights = boat_scene_setup()
     cfg = ReasonerConfig(gamma=0.01, steps=1)
-    v = forward(graph, graph.initial_valuation(np.ones(len(facts))), weights, cfg)
+    v = forward(graph, np.ones(len(facts)), weights, cfg)
     assert v[graph.atom_index[atom("target", "obj1")]] < 0.1
     assert v[graph.atom_index[atom("cond1", "obj1")]] > 0.99
 
@@ -94,7 +93,7 @@ def test_forward_zero_weight_blocks_rule():
     weights = weights.copy()
     weights[2] = 0.0  # the target rule
     cfg = ReasonerConfig(gamma=0.01, steps=2)
-    v = forward(graph, graph.initial_valuation(np.ones(len(facts))), weights, cfg)
+    v = forward(graph, np.ones(len(facts)), weights, cfg)
     assert v[graph.atom_index[atom("target", "obj1")]] < 0.1
 
 
@@ -104,8 +103,16 @@ def test_forward_shape_checks():
     with pytest.raises(DimensionMismatch):
         forward(graph, np.zeros(3), weights, cfg)
     with pytest.raises(DimensionMismatch):
-        forward(graph, graph.initial_valuation(np.ones(len(facts))),
-                np.ones(7), cfg)
+        forward(graph, np.ones(len(facts)), np.ones(7), cfg)
+
+
+def test_forward_rejects_a_full_atom_valuation():
+    # forward takes one value per fact and starts derived atoms itself.
+    _, facts, graph, weights = boat_scene_setup()
+    assert graph.n_atoms > graph.n_facts == len(facts)
+    message = f"graph has {len(facts)} facts"
+    with pytest.raises(DimensionMismatch, match=message):
+        forward(graph, np.ones(graph.n_atoms), weights, ReasonerConfig())
 
 
 def test_forward_monotone_in_inputs():
@@ -115,8 +122,8 @@ def test_forward_monotone_in_inputs():
     for _ in range(25):
         lo = rng.uniform(0, 1, len(facts))
         hi = np.clip(lo + rng.uniform(0, 1 - lo), 0, 1)
-        v_lo = forward(graph, graph.initial_valuation(lo), weights, cfg)
-        v_hi = forward(graph, graph.initial_valuation(hi), weights, cfg)
+        v_lo = forward(graph, lo, weights, cfg)
+        v_hi = forward(graph, hi, weights, cfg)
         assert np.all(v_hi >= v_lo - 1e-9)
 
 
@@ -156,40 +163,45 @@ def test_backward_matches_finite_differences():
         def loss(w=None, fv=None):
             w_arr = weights if w is None else np.asarray(w)
             f_arr = fact_values if fv is None else np.asarray(fv)
-            v = forward(graph, graph.initial_valuation(f_arr), w_arr, cfg)
+            v = forward(graph, f_arr, w_arr, cfg)
             return float(coeffs @ v)
 
-        grad_w, grad_v0 = backward(
-            graph, graph.initial_valuation(fact_values), weights, cfg, coeffs
-        )
+        _, tape = forward(graph, fact_values, weights, cfg, record=True)
+        grad_w, grad_facts = backward(tape, coeffs)
         fd_w = finite_difference(lambda w: loss(w=w), list(weights))
         fd_v = finite_difference(lambda fv: loss(fv=fv), list(fact_values))
         np.testing.assert_allclose(grad_w, fd_w, rtol=1e-4, atol=1e-7)
-        np.testing.assert_allclose(
-            grad_v0[: graph.n_facts], fd_v, rtol=1e-4, atol=1e-7
-        )
+        np.testing.assert_allclose(grad_facts, fd_v, rtol=1e-4, atol=1e-7)
 
 
-def test_backward_rejects_stale_tape():
-    _, facts, graph, weights = boat_scene_setup()
-    cfg = ReasonerConfig(gamma=0.01, steps=2)
-    v0 = graph.initial_valuation(np.ones(len(facts)))
-    _, tape = forward(graph, v0, weights, cfg, record=True)
-    other = ReasonerConfig(gamma=0.5, steps=2)
-    with pytest.raises(TapeMissing):
-        backward(graph, v0, weights, other, np.ones(graph.n_atoms), tape=tape)
-
-
-def test_backward_recomputes_without_tape():
+def test_backward_returns_one_fact_gradient_per_fact():
     _, facts, graph, weights = boat_scene_setup()
     cfg = ReasonerConfig(gamma=0.1, steps=2)
-    v0 = graph.initial_valuation(np.ones(len(facts)))
-    loss_grad = np.ones(graph.n_atoms)
-    _, tape = forward(graph, v0, weights, cfg, record=True)
-    with_tape = backward(graph, v0, weights, cfg, loss_grad, tape=tape)
-    without = backward(graph, v0, weights, cfg, loss_grad)
-    np.testing.assert_allclose(with_tape[0], without[0])
-    np.testing.assert_allclose(with_tape[1], without[1])
+    _, tape = forward(graph, np.ones(len(facts)), weights, cfg, record=True)
+    grad_w, grad_facts = backward(tape, np.ones(graph.n_atoms))
+    assert grad_w.shape == (graph.n_rules,)
+    assert grad_facts.shape == (graph.n_facts,) == (len(facts),)
+    with pytest.raises(DimensionMismatch, match="loss gradient"):
+        backward(tape, np.ones(graph.n_facts))
+
+
+def test_tape_keeps_the_weights_forward_ran_with():
+    _, facts, graph, weights = boat_scene_setup()
+    cfg = ReasonerConfig(gamma=0.1, steps=2)
+    weights = np.array([0.9, 0.7, 0.8])
+    loss_grad = np.linspace(-1.0, 1.0, graph.n_atoms)
+    _, tape = forward(graph, np.ones(len(facts)), weights, cfg, record=True)
+    before = backward(tape, loss_grad)
+    weights[:] = 0.1  # the caller reuses its buffer
+    after = backward(tape, loss_grad)
+    assert np.array_equal(before[0], after[0])
+    assert np.array_equal(before[1], after[1])
+    assert np.array_equal(tape.weights, [0.9, 0.7, 0.8])
+    assert not tape.weights.flags.writeable
+    with pytest.raises(ValueError):
+        tape.weights[0] = 0.0
+    assert tape.graph is graph and tape.cfg is cfg
+    assert len(tape.rounds) == cfg.steps
 
 
 def make_scene():
@@ -213,7 +225,7 @@ def test_extract_targets_threshold_and_order():
     graph = build_reasoning_graph(program, facts)
     cfg = ReasonerConfig(gamma=0.01, steps=2, target_threshold=0.2)
     weights = np.array([1.0, 0.6])
-    v = forward(graph, graph.initial_valuation(values), weights, cfg)
+    v = forward(graph, values, weights, cfg)
     got = extract_targets(graph, v, sg, cfg)
     assert [p.object_id for p in got] == [1, 3]
     assert got[0].score > got[1].score
@@ -229,7 +241,7 @@ def test_extract_targets_fallback_is_seeded():
     graph = build_reasoning_graph(program, facts)
     cfg = ReasonerConfig(rng_seed=5)
     # A tiny rule weight leaves every target atom under the threshold.
-    v = forward(graph, graph.initial_valuation(values),
+    v = forward(graph, values,
                 np.array([0.05]), cfg)
     first = extract_targets(graph, v, sg, cfg)
     second = extract_targets(graph, v, sg, cfg)
@@ -246,7 +258,7 @@ def test_extract_targets_requires_target_atoms():
     facts, values = scene_graph_to_facts(sg)
     graph = build_reasoning_graph(program, facts)
     cfg = ReasonerConfig()
-    v = forward(graph, graph.initial_valuation(values), np.ones(1), cfg)
+    v = forward(graph, values, np.ones(1), cfg)
     with pytest.raises(NoTargetAtoms):
         extract_targets(graph, v, sg, cfg)
 
@@ -260,13 +272,13 @@ def test_target_fact_is_predicted_at_its_node():
     assert graph.n_conj == 0
     assert graph.target_atoms == (1,)
     cfg = ReasonerConfig()
-    v = forward(graph, graph.initial_valuation(np.ones(2)), graph.weights, cfg)
+    v = forward(graph, np.ones(2), graph.weights, cfg)
     [prediction] = extract_targets(graph, v, sg, cfg)
     assert (prediction.object_id, prediction.fallback) == (1, False)
     assert prediction.node == 1
     assert graph.atoms[prediction.node] == atom("target", "obj1")
     # At value 0 the fact stays under the threshold: a fallback, no node.
-    v = forward(graph, graph.initial_valuation([1.0, 0.0]), graph.weights, cfg)
+    v = forward(graph, [1.0, 0.0], graph.weights, cfg)
     [prediction] = extract_targets(graph, v, sg, cfg)
     assert prediction.fallback and prediction.node is None
 
@@ -279,7 +291,7 @@ def test_forward_stays_in_unit_interval(seed):
     cfg = ReasonerConfig(gamma=0.1, steps=4)
     fact_values = rng.uniform(0, 1, graph.n_facts)
     weights = rng.uniform(0, 1, n_rules)
-    v = forward(graph, graph.initial_valuation(fact_values), weights, cfg)
+    v = forward(graph, fact_values, weights, cfg)
     assert np.all(v >= 0.0) and np.all(v <= 1.0)
 
 

@@ -49,27 +49,25 @@ def test_system_prompt_states_the_format():
 
 
 def test_build_prompt_matches_few_shot_shape():
-    bundle = build_prompt(
-        "an object that is next to a keyboard.", ["next_to"], make_cfg()
-    )
+    bundle = build_prompt("an object that is next to a keyboard.", ["next_to"])
     assert bundle.user == FEW_SHOT[0]["user"]
     assert bundle.system == SYSTEM_PROMPT
     assert not bundle.cot
 
 
 def test_build_prompt_without_predicates():
-    bundle = build_prompt("an object that is on a desk.", [], make_cfg())
+    bundle = build_prompt("an object that is on a desk.", [])
     assert bundle.user == "an object that is on a desk."
     assert "available predicates" not in bundle.user
 
 
 def test_build_prompt_joins_predicates_with_commas():
-    bundle = build_prompt("prompt.", ["has", "on", "above"], make_cfg())
+    bundle = build_prompt("prompt.", ["has", "on", "above"])
     assert bundle.user.endswith("available predicates: has,on,above")
 
 
 def test_messages_alternate_roles():
-    bundle = build_prompt("prompt.", ["on"], make_cfg())
+    bundle = build_prompt("prompt.", ["on"])
     messages = bundle.messages()
     assert messages[0]["role"] == "system"
     assert messages[-1] == {"role": "user", "content": bundle.user}
@@ -148,14 +146,12 @@ def test_fixture_client_round_trip(data_dir):
     client = FixtureClient.load(str(data_dir / "llm_fixture.json"))
     cfg = make_cfg()
     bundle = build_prompt(
-        "an object that is on a barge, and that is holding an umbrella.",
-        [],
-        cfg,
+        "an object that is on a barge, and that is holding an umbrella.", []
     )
     text = request_rules(bundle, cfg, client)
     assert "type(Y,barge)" in text
     with pytest.raises(ServiceError):
-        request_rules(build_prompt("unknown prompt.", [], cfg), cfg, client)
+        request_rules(build_prompt("unknown prompt.", []), cfg, client)
 
 
 class _Response:
@@ -268,7 +264,7 @@ def test_generate_program_repairs_once():
         ]
     )
     program, meta = generate_program(
-        "an object that is on a boat.", [], make_cfg(), client=client
+        "an object that is on a boat.", make_cfg(), client=client
     )
     assert meta["repaired"]
     assert len(program.rules) == 2
@@ -281,7 +277,7 @@ def test_generate_program_repairs_once():
 def test_generate_program_gives_up_after_one_repair():
     client = _ScriptedClient(["nonsense", "still nonsense"])
     with pytest.raises(FormatError):
-        generate_program("prompt.", [], make_cfg(), client=client)
+        generate_program("prompt.", make_cfg(), client=client)
 
 
 def test_generate_program_cot_extracts_predicates_first():
@@ -295,7 +291,6 @@ def test_generate_program_cot_extracts_predicates_first():
     )
     program, meta = generate_program(
         "an object that is on a boat, and that is holding an umbrella.",
-        [],
         make_cfg(),
         client=client,
         cot=True,
