@@ -322,22 +322,6 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _parse_box(record, path: str) -> Box:
-    """A Box from the numeric x, y, w, h keys of the object ``record``."""
-    if not isinstance(record, dict):
-        raise SchemaError(path, "must be an {x, y, w, h} object")
-    coords = {}
-    for key in ("x", "y", "w", "h"):
-        value = _require(record, key, f"{path}.{key}")
-        if not _is_number(value):
-            raise SchemaError(f"{path}.{key}", "must be a number")
-        coords[key] = value
-    try:
-        return Box(**coords)
-    except ValueError as exc:
-        raise SchemaError(path, f"invalid box: {exc}") from exc
-
-
 def _parse_answer(record, path: str) -> AnswerObject:
     if not isinstance(record, dict):
         raise SchemaError(path, "answer entry must be an object")
@@ -351,7 +335,7 @@ def _parse_answer(record, path: str) -> AnswerObject:
         raise SchemaError(path, "answer entry needs 'names' or 'name'")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise SchemaError(f"{path}.names", "must be a string or list of strings")
-    box = _parse_box(record, path)
+    box = Box.from_dict(record, path)
     object_id = _require(record, "object_id", f"{path}.object_id")
     if not isinstance(object_id, int) or isinstance(object_id, bool):
         raise SchemaError(f"{path}.object_id", "must be an integer")
@@ -456,7 +440,7 @@ def load_predictions(path: str) -> list[list[tuple[Box, float]]]:
             if not isinstance(entry, dict):
                 raise SchemaError(ppath, "prediction must be an object")
             bpath = f"{ppath}.box"
-            box = _parse_box(_require(entry, "box", bpath), bpath)
+            box = Box.from_dict(_require(entry, "box", bpath), bpath)
             score = _require(entry, "score", f"{ppath}.score")
             if not _is_number(score) or not math.isfinite(score):
                 raise SchemaError(f"{ppath}.score", "must be a finite number")
@@ -747,7 +731,7 @@ def load_deiclevr(path: str) -> list[tuple[ClevrScene, str, int, Program]]:
             shape = _require(obj, "shape", f"{opath}.shape")
             material = _require(obj, "material", f"{opath}.material")
             bpath = f"{opath}.box"
-            box = _parse_box(_require(obj, "box", bpath), bpath)
+            box = Box.from_dict(_require(obj, "box", bpath), bpath)
             try:
                 objects.append(ClevrObject(color, shape, material, box))
             except (ValueError, TypeError) as exc:

@@ -35,8 +35,10 @@ class EvalConfig:
         return {"match_iou": self.match_iou, "score_key": self.score_key}
 
 
-def _box_and_score(prediction, score_key: str) -> tuple[Box, float]:
-    """Accept (box, score) pairs, dicts, or objects with box/score fields."""
+def _box_and_score(prediction, score_key: str, index: int) -> tuple[Box, float]:
+    """Accept (box, score) pairs, dicts, or objects with box/score fields.
+    A box given as a dict must hold numbers only (:meth:`Box.from_dict`);
+    its errors name the prediction by its ``index``."""
     if isinstance(prediction, tuple) and len(prediction) == 2:
         box, score = prediction
     elif isinstance(prediction, dict):
@@ -44,7 +46,7 @@ def _box_and_score(prediction, score_key: str) -> tuple[Box, float]:
     else:
         box, score = prediction.box, getattr(prediction, score_key)
     if isinstance(box, dict):
-        box = Box.from_dict(box)
+        box = Box.from_dict(box, f"predictions[{index}].box")
     return box, float(score)
 
 
@@ -58,7 +60,12 @@ def _match(
     (or None) per ordered prediction.  Ties in score keep input order; ties
     in overlap go to the earliest answer.
     """
-    scored = [_box_and_score(p, score_key) for p in predictions]
+    scored = [_box_and_score(p, score_key, i) for i, p in enumerate(predictions)]
+    for j, answer in enumerate(answers):
+        if not isinstance(answer, Box):
+            raise ValueError(
+                f"answers[{j}] must be a Box, not {type(answer).__name__}"
+            )
     order = sorted(range(len(scored)), key=lambda i: -scored[i][1])
     taken = [False] * len(answers)
     flags: list[bool] = []

@@ -441,14 +441,12 @@ class ReasoningGraph:
         grouped = sorted(range(len(head_idx)), key=head_idx.__getitem__)
         updated: list[int] = []
         group_starts: list[int] = []
+        group_of: list[int] = []
         for g, c in enumerate(grouped):
             if not updated or head_idx[c] != updated[-1]:
                 updated.append(head_idx[c])
                 group_starts.append(g)
-        group_sizes = [
-            end - start
-            for start, end in zip(group_starts, group_starts[1:] + [len(grouped)])
-        ]
+            group_of.append(len(updated) - 1)
 
         weights = np.array(weights, dtype=np.float64)
         weights.flags.writeable = False
@@ -470,7 +468,11 @@ class ReasoningGraph:
         self.conj_head = np.array(head_idx, dtype=np.int64)
         self.conj_rule = np.array(rule_idx, dtype=np.int64)
         self.body_counts = np.array(body_counts, dtype=np.int64)
-        self.body_atoms = np.array(body_flat, dtype=np.int64)
+        # The body atoms followed by one atom slot past the graph's atoms,
+        # where the reasoner keeps the sentinel 1.0: gathering the
+        # valuation through it gives the padded body values at once.
+        self.body_gather = np.array(body_flat + [len(atoms)], dtype=np.int64)
+        self.body_atoms = self.body_gather[:-1]
         # Segment starts into body_atoms, one per conjunction node.
         self.body_starts = np.array(body_starts, dtype=np.int64)
         self.slot_conj = np.array(slot_conj, dtype=np.int64)
@@ -478,7 +480,9 @@ class ReasoningGraph:
         self.grouped_conj = np.array(grouped, dtype=np.int64)
         self.updated_atoms = np.array(updated, dtype=np.int64)
         self.group_starts = np.array(group_starts, dtype=np.int64)
-        self.group_sizes = np.array(group_sizes, dtype=np.int64)
+        # The group, an index into updated_atoms, of each grouped
+        # conjunction.
+        self.group_of = np.array(group_of, dtype=np.int64)
 
     def to_debug_dict(self) -> dict:
         """Structured dump of nodes and edges for inspection."""

@@ -16,11 +16,25 @@ most ``gamma * log(n)``.
 
 ``forward`` takes one value per input fact (the graph's first ``n_facts``
 atoms) and starts every other atom at 0.  ``forward(record=True)`` also
-returns a tape holding the graph, the config, a read-only copy of the
-weights and the per-round intermediates; ``backward(tape, loss_grad)``
-replays it with nothing but the loss gradient, giving exact reverse-mode
-gradients of any scalar loss with respect to the rule weights and the fact
-values.
+returns a tape: the graph, the config, a read-only copy of the weights,
+and for each round what the reverse sweep reads.  That is the padded body
+values and products of the soft AND, the new conjunction values, the
+clamp mask, and the gradient shares of the round's three soft ORs, which
+forward takes from the exponentials it has already computed (each
+input's shifted exponential over their total).  ``backward(tape,
+loss_grad)`` replays the tape with nothing but the loss gradient and
+evaluates no soft OR again: the reverse-mode trade of storing what the
+reverse sweep needs instead of computing it twice (Griewank and Walther,
+*Evaluating Derivatives*, 2008).  It gives exact gradients of any scalar
+loss with respect to the rule weights and the fact values.
+
+Most of the cost of a round is the fixed cost of each numpy call, not
+work that grows with the graph, so the round loops keep the call count
+low: both operands of a pairwise soft OR sit in the two rows of one
+array, the per-call index arrays and gathered weights are read once
+before the loop, and derived atoms are updated in place.  The float
+operations are those of a plain round-by-round evaluation, on the same
+operands in the same order, so none of this changes a bit of the results.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ import numpy as np
 
 from .grounding import ReasoningGraph
 from .logic import Term
-from .scene import Box, SceneGraph, object_constants
+from .scene import Box, SceneGraph, object_constants, object_positions
 
 
 class DimensionMismatch(ValueError):
@@ -96,60 +110,78 @@ def softor(values, gamma: float) -> float:
     return m + gamma * float(np.log(np.exp((xs - m) / gamma).sum()))
 
 
-def _pair_softor(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
-    """Elementwise softor of two aligned vectors."""
-    m = np.maximum(x, y)
-    return m + gamma * np.log(np.exp((x - m) / gamma) + np.exp((y - m) / gamma))
+def _pair_softor(pair: np.ndarray, gamma: float, shares: bool, out=None):
+    """Elementwise softor of the two rows of ``pair``, written to ``out``
+    when given.
 
-
-def _pair_softmax(
-    x: np.ndarray, y: np.ndarray, gamma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient shares of a pairwise softor with respect to each input."""
-    m = np.maximum(x, y)
-    ex = np.exp((x - m) / gamma)
-    ey = np.exp((y - m) / gamma)
-    total = ex + ey
-    return ex / total, ey / total
+    Returns the softor and, when ``shares`` is true, the gradient share of
+    each input in the same two rows (else None): each input's shifted
+    exponential over their total.
+    """
+    m = np.maximum(pair[0], pair[1])
+    e = np.exp((pair - m) / gamma)
+    total = e[0] + e[1]
+    value = np.add(m, gamma * np.log(total), out=out)
+    if not shares:
+        return value, None
+    e /= total
+    return value, e
 
 
 def _segment_softor(
-    vals: np.ndarray, starts: np.ndarray, sizes: np.ndarray, gamma: float
-) -> np.ndarray:
-    """Softor within each contiguous non-empty segment of ``vals``."""
+    vals: np.ndarray,
+    starts: np.ndarray,
+    group_of: np.ndarray,
+    gamma: float,
+    shares: bool,
+    out: np.ndarray,
+):
+    """Softor within each contiguous non-empty segment of ``vals``, written
+    to ``out``; ``group_of`` gives the segment of each element. Returns the
+    gradient share of each element when ``shares`` is true, else None."""
     m = np.maximum.reduceat(vals, starts)
-    shifted = np.exp((vals - np.repeat(m, sizes)) / gamma)
-    return m + gamma * np.log(np.add.reduceat(shifted, starts))
-
-
-def _segment_softmax(
-    vals: np.ndarray, starts: np.ndarray, sizes: np.ndarray, gamma: float
-) -> np.ndarray:
-    """Per-element gradient shares of a segmentwise softor."""
-    m = np.maximum.reduceat(vals, starts)
-    shifted = np.exp((vals - np.repeat(m, sizes)) / gamma)
+    shifted = np.exp((vals - m[group_of]) / gamma)
     totals = np.add.reduceat(shifted, starts)
-    return shifted / np.repeat(totals, sizes)
+    np.add(m, gamma * np.log(totals), out=out)
+    if not shares:
+        return None
+    shifted /= totals[group_of]
+    return shifted
 
 
 @dataclass
 class _RoundRecord:
-    """Intermediates of one message-passing round, kept for backward()."""
+    """What backward() reads of one message-passing round.
 
-    atoms_prev: np.ndarray
-    conj_prev: np.ndarray
+    ``body_vals``: the body values, padded with the sentinel 1.0;
+    ``products``: the soft AND of each conjunction;
+    ``conj_new``: the conjunction values the round ends with;
+    ``conj_shares``: the gradient shares of ``conj_new`` with respect to the
+    previous conjunction values (row 0) and ``products`` (row 1);
+    ``head_shares``: the gradient share of each weighted conjunction in its
+    head's soft OR, in grouped order;
+    ``raw_shares``: the gradient shares of each updated atom's unclamped
+    value with respect to its previous value (row 0) and that soft OR
+    (row 1);
+    ``unclamped``: whether that value lay in [0, 1], so the clamp passed its
+    gradient.
+    """
+
     body_vals: np.ndarray
     products: np.ndarray
     conj_new: np.ndarray
-    incoming: np.ndarray
-    raw: np.ndarray
+    conj_shares: np.ndarray
+    head_shares: np.ndarray
+    raw_shares: np.ndarray
+    unclamped: np.ndarray
 
 
 @dataclass
 class Tape:
     """Forward-pass recording that backward() replays in reverse: the graph
-    and config it ran under, a read-only copy of its weights, and the
-    intermediates of each round."""
+    and config it ran under, a read-only copy of its weights, and one
+    :class:`_RoundRecord` per round. The records hold the gradient shares
+    forward computed, so backward evaluates no soft OR again."""
 
     graph: ReasoningGraph
     cfg: ReasonerConfig
@@ -184,64 +216,73 @@ def forward(
             f"graph has {graph.n_rules} rules"
         )
     gamma = cfg.gamma
+    n_atoms, n_conj = graph.n_atoms, graph.n_conj
+    gather = graph.body_gather
+    reduce_starts = graph.body_reduce_starts
+    grouped = graph.grouped_conj
+    group_starts, group_of = graph.group_starts, graph.group_of
+    updated = graph.updated_atoms
+    n_updated = updated.size
 
-    atoms = np.zeros(graph.n_atoms, dtype=np.float64)
+    # One slot past the atoms holds the sentinel 1.0 that the body gather
+    # reads for an empty body (a weighted program fact).
+    atoms = np.zeros(n_atoms + 1, dtype=np.float64)
     atoms[: graph.n_facts] = fact_values
-    conjs = np.zeros(graph.n_conj, dtype=np.float64)
+    atoms[n_atoms] = 1.0
+    # Row 0 holds the running conjunction values, row 1 the round's
+    # products, so one soft OR covers both rows.
+    conj = np.zeros((2, n_conj), dtype=np.float64)
+    grouped_weights = weights.take(graph.conj_rule).take(grouped)
     if record:
         weights = weights.copy()
         weights.flags.writeable = False
         tape = Tape(graph, cfg, weights)
 
     for _ in range(cfg.steps):
-        atoms_prev = atoms
-        conj_prev = conjs
-
         # Soft AND: each conjunction scores the product of its body atoms
-        # under the previous valuation, folded into its running value. The
-        # body values end in the sentinel 1.0 that the graph's reduceat plan
-        # points empty bodies (weighted program facts) at.
-        body_vals = np.empty(graph.body_atoms.size + 1, dtype=np.float64)
-        np.take(atoms_prev, graph.body_atoms, out=body_vals[:-1])
-        body_vals[-1] = 1.0
-        products = np.multiply.reduceat(body_vals, graph.body_reduce_starts)
-        conj_new = _pair_softor(conj_prev, products, gamma)
+        # under the previous valuation, folded into its running value.
+        body_vals = atoms[gather]
+        products = np.multiply.reduceat(body_vals, reduce_starts, out=conj[1])
+        conj_next = np.empty((2, n_conj), dtype=np.float64)
+        conj_new, conj_shares = _pair_softor(conj, gamma, record, out=conj_next[0])
+        conj = conj_next
 
         # Soft OR: each head atom folds in the weighted disjunction of its
-        # freshly scored conjunctions, clamped to stay a valuation.
-        atoms_new = atoms_prev.copy()
-        if graph.n_conj:
-            contrib = weights[graph.conj_rule] * conj_new
-            incoming = _segment_softor(
-                contrib[graph.grouped_conj],
-                graph.group_starts,
-                graph.group_sizes,
-                gamma,
-            )
-            raw = _pair_softor(atoms_prev[graph.updated_atoms], incoming, gamma)
-            atoms_new[graph.updated_atoms] = np.clip(raw, 0.0, 1.0)
-        else:
-            incoming = np.zeros(0, dtype=np.float64)
-            raw = np.zeros(0, dtype=np.float64)
+        # freshly scored conjunctions, clamped to stay a valuation. Row 0
+        # holds the heads' previous values, read before the update writes
+        # over them, and row 1 that disjunction.
+        head = np.empty((2, n_updated), dtype=np.float64)
+        atoms.take(updated, out=head[0])
+        head_shares = _segment_softor(
+            grouped_weights * conj_new[grouped],
+            group_starts,
+            group_of,
+            gamma,
+            record,
+            out=head[1],
+        )
+        raw, raw_shares = _pair_softor(head, gamma, record)
+        clamped = np.maximum(raw, 0.0)
+        np.minimum(clamped, 1.0, out=clamped)
+        atoms[updated] = clamped
 
         if record:
             tape.rounds.append(
                 _RoundRecord(
-                    atoms_prev=atoms_prev,
-                    conj_prev=conj_prev,
                     body_vals=body_vals,
                     products=products,
                     conj_new=conj_new,
-                    incoming=incoming,
-                    raw=raw,
+                    conj_shares=conj_shares,
+                    head_shares=head_shares,
+                    raw_shares=raw_shares,
+                    unclamped=clamped == raw,
                 )
             )
-        atoms = atoms_new
-        conjs = conj_new
 
+    valuation = atoms[:n_atoms]
     if record:
-        return atoms, tape
-    return atoms
+        return valuation, tape
+    return valuation
 
 
 def backward(tape: Tape, loss_grad) -> tuple[np.ndarray, np.ndarray]:
@@ -249,89 +290,79 @@ def backward(tape: Tape, loss_grad) -> tuple[np.ndarray, np.ndarray]:
 
     ``loss_grad`` is d(loss)/d(final valuation).  Returns
     ``(grad_weights, grad_facts)``, the latter with one entry per input
-    fact.
+    fact.  Every soft OR's gradient shares come from the tape.
     """
-    graph, gamma, weights = tape.graph, tape.cfg.gamma, tape.weights
+    graph = tape.graph
     loss_grad = np.asarray(loss_grad, dtype=np.float64)
     if loss_grad.shape != (graph.n_atoms,):
         raise DimensionMismatch(
             f"loss gradient has shape {loss_grad.shape}, "
             f"graph has {graph.n_atoms} atoms"
         )
+    n_conj = graph.n_conj
+    updated = graph.updated_atoms
+    grouped, group_of = graph.grouped_conj, graph.group_of
+    conj_rule = graph.conj_rule
+    body_atoms, slot_conj = graph.body_atoms, graph.slot_conj
+    conj_weights = tape.weights.take(conj_rule)
 
     d_atoms = loss_grad.copy()
-    d_conjs = np.zeros(graph.n_conj, dtype=np.float64)
+    d_conjs = np.zeros(n_conj, dtype=np.float64)
     grad_weights = np.zeros(graph.n_rules, dtype=np.float64)
 
     for rec in reversed(tape.rounds):
-        d_atoms_prev = d_atoms.copy()
-        if graph.n_conj:
-            ua = graph.updated_atoms
+        # atoms[updated] = clamp(raw) overwrote the previous values, which
+        # reach the loss only through raw = softor(previous, incoming):
+        # their gradient restarts at +0.0 and takes that share (0.0 + x,
+        # which also turns -0.0 into +0.0).
+        d_raw = d_atoms[updated] * rec.unclamped
+        d_head = d_raw * rec.raw_shares
+        d_atoms[updated] = d_head[0] + 0.0
 
-            # atoms_new[ua] = clip(raw); overwritten entries carry no
-            # gradient back to atoms_prev except through the softor below.
-            d_raw = d_atoms[ua] * ((rec.raw >= 0.0) & (rec.raw <= 1.0))
-            d_atoms_prev[ua] = 0.0
+        # incoming = segment softor over weights[conj_rule] * conj_new,
+        # grouped by head; every conjunction is in exactly one group.
+        d_contrib = np.empty(n_conj, dtype=np.float64)
+        d_contrib[grouped] = d_head[1][group_of] * rec.head_shares
+        np.add.at(grad_weights, conj_rule, d_contrib * rec.conj_new)
 
-            # raw = softor(atoms_prev[ua], incoming)
-            share_prev, share_in = _pair_softmax(
-                rec.atoms_prev[ua], rec.incoming, gamma
-            )
-            d_atoms_prev[ua] += d_raw * share_prev
-            d_incoming = d_raw * share_in
+        # conj_new = softor(conj_prev, products)
+        d_conj = (d_contrib * conj_weights + d_conjs) * rec.conj_shares
+        d_conjs, d_products = d_conj[0], d_conj[1]
 
-            # incoming = segment softor over contrib[grouped_conj]
-            contrib = weights[graph.conj_rule] * rec.conj_new
-            grouped = contrib[graph.grouped_conj]
-            shares = _segment_softmax(
-                grouped, graph.group_starts, graph.group_sizes, gamma
-            )
-            d_contrib = np.zeros(graph.n_conj, dtype=np.float64)
-            d_contrib[graph.grouped_conj] = (
-                np.repeat(d_incoming, graph.group_sizes) * shares
-            )
-
-            # contrib = weights[conj_rule] * conj_new
-            np.add.at(
-                grad_weights, graph.conj_rule, d_contrib * rec.conj_new
-            )
-            d_conj_new = d_contrib * weights[graph.conj_rule] + d_conjs
-
-            # conj_new = softor(conj_prev, products)
-            share_c, share_p = _pair_softmax(
-                rec.conj_prev, rec.products, gamma
-            )
-            d_conjs = d_conj_new * share_c
-            d_products = d_conj_new * share_p
-
-            # products[i] = prod of body values; leave-one-out gradient via
-            # the zero count and the product over nonzero factors, so
-            # zero-valued factors stay differentiable. The padded values
-            # come from the tape; the sentinel 1.0 counts as no zero.
-            zero_mask = rec.body_vals == 0.0
-            nonzero_vals = np.where(zero_mask, 1.0, rec.body_vals)
-            starts = graph.body_reduce_starts
-            zc = np.add.reduceat(zero_mask.astype(np.float64), starts)[
-                graph.slot_conj
-            ]
-            pnz = np.multiply.reduceat(nonzero_vals, starts)[graph.slot_conj]
-            zero_mask = zero_mask[:-1]
-            safe = nonzero_vals[:-1]
-            loo = np.where(
-                zero_mask,
-                np.where(zc == 1.0, pnz, 0.0),
-                np.where(zc == 0.0, pnz / safe, 0.0),
-            )
-            np.add.at(
-                d_atoms_prev,
-                graph.body_atoms,
-                d_products[graph.slot_conj] * loo,
-            )
-        d_atoms = d_atoms_prev
+        # products[i] = prod of body values. The leave-one-out product of
+        # a slot is the product over the others: with no zero factor it is
+        # the product divided by the slot's value, otherwise it comes from
+        # the zero count and the product over nonzero factors, so
+        # zero-valued factors stay differentiable.
+        if np.count_nonzero(rec.body_vals) == rec.body_vals.size:
+            loo = rec.products[slot_conj] / rec.body_vals[:-1]
+        else:
+            loo = _zero_safe_leave_one_out(graph, rec.body_vals)
+        np.add.at(d_atoms, body_atoms, d_products[slot_conj] * loo)
 
     # d_conjs now refers to conj round 0, which is the zero constant, and
     # every atom past the facts starts at the constant 0.
     return grad_weights, d_atoms[: graph.n_facts]
+
+
+def _zero_safe_leave_one_out(
+    graph: ReasoningGraph, body_vals: np.ndarray
+) -> np.ndarray:
+    """Each body slot's product over the other slots of its conjunction,
+    from the padded body values of a round with a zero factor. The
+    sentinel 1.0 counts as no zero."""
+    zero_mask = body_vals == 0.0
+    nonzero_vals = np.where(zero_mask, 1.0, body_vals)
+    starts = graph.body_reduce_starts
+    zc = np.add.reduceat(zero_mask.astype(np.float64), starts)[graph.slot_conj]
+    pnz = np.multiply.reduceat(nonzero_vals, starts)[graph.slot_conj]
+    zero_mask = zero_mask[:-1]
+    safe = nonzero_vals[:-1]
+    return np.where(
+        zero_mask,
+        np.where(zc == 1.0, pnz, 0.0),
+        np.where(zc == 0.0, pnz / safe, 0.0),
+    )
 
 
 @dataclass(frozen=True)
@@ -374,34 +405,28 @@ def extract_targets(
     if not graph.target_atoms and not graph.defines_target:
         raise NoTargetAtoms("the program has no target/1 rule")
 
-    constants = object_constants(sg)
-    by_constant = {
-        constants[obj.object_id].name: (position, obj)
-        for position, obj in enumerate(sg.objects)
-    }
-
+    positions = object_positions(sg)
     scored = []
     for i in graph.target_atoms:
         constant = graph.atoms[i].args[0]
-        entry = by_constant.get(constant.name)
-        if entry is None:
+        position = positions.get(constant.name)
+        if position is None:
             continue  # grounding noise, e.g. target(sgg1)
-        position, obj = entry
         score = float(v_final[i])
         if score > cfg.target_threshold:
-            scored.append((position, obj, constant, score, i))
+            scored.append((position, constant, score, i))
 
     if scored:
-        scored.sort(key=lambda t: (-t[3], t[0]))
+        scored.sort(key=lambda t: (-t[2], t[0]))
         return [
             TargetPrediction(
                 object_constant=constant,
-                object_id=obj.object_id,
-                box=obj.box,
+                object_id=sg.objects[position].object_id,
+                box=sg.objects[position].box,
                 score=score,
                 node=i,
             )
-            for _, obj, constant, score, i in scored
+            for position, constant, score, i in scored
         ]
 
     if not sg.objects:
@@ -414,7 +439,7 @@ def extract_targets(
     score = float(rng.uniform(low, high))
     return [
         TargetPrediction(
-            object_constant=constants[obj.object_id],
+            object_constant=object_constants(sg)[obj.object_id],
             object_id=obj.object_id,
             box=obj.box,
             score=score,

@@ -46,6 +46,7 @@ __all__ = [
     "canon_constant",
     "canon_predicate",
     "object_constants",
+    "object_positions",
     "scene_rows",
     "scene_graph_to_facts",
     "tagged_predicate",
@@ -108,8 +109,27 @@ class Box:
         return {"x": self.x, "y": self.y, "w": self.w, "h": self.h}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Box":
-        return cls(float(d["x"]), float(d["y"]), float(d["w"]), float(d["h"]))
+    def from_dict(cls, d, path: str = "box") -> "Box":
+        """A Box from the numeric x, y, w, h keys of the object ``d``.
+
+        Raises :class:`SchemaError` naming ``path`` (or the key under it)
+        when ``d`` is not such an object; numbers are taken as they are,
+        nothing is converted.
+        """
+        if not isinstance(d, dict):
+            raise SchemaError(path, "must be an {x, y, w, h} object")
+        coords = []
+        for key in ("x", "y", "w", "h"):
+            if key not in d:
+                raise SchemaError(f"{path}.{key}", f"missing required key {key!r}")
+            value = d[key]
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise SchemaError(f"{path}.{key}", "must be a number")
+            coords.append(value)
+        try:
+            return cls(*coords)
+        except ValueError as exc:
+            raise SchemaError(path, f"invalid box: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -210,6 +230,20 @@ def _object_like(name: str) -> bool:
 def object_constants(sg: SceneGraph) -> dict[int, Term]:
     """Map object_id -> dense constant obj1, obj2, ... in listing order."""
     return {o.object_id: _term(f"obj{i}") for i, o in enumerate(sg.objects, start=1)}
+
+
+def object_positions(sg: SceneGraph) -> dict[str, int]:
+    """Map the name of each object constant to the position of its object
+    in ``sg.objects`` (``obj1`` -> 0), built on first use and kept on
+    ``sg``."""
+    positions = sg.__dict__.get("_positions")
+    if positions is None:
+        positions = {
+            constant.name: position
+            for position, constant in enumerate(object_constants(sg).values())
+        }
+        object.__setattr__(sg, "_positions", positions)
+    return positions
 
 
 def tagged_predicate(name: str) -> str:

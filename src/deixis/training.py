@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -123,6 +123,15 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        """The config that :meth:`to_dict` wrote: every field, and no other
+        key. A missing or unknown key raises ValueError naming it."""
+        names = [f.name for f in fields(cls)]
+        for key in data:
+            if key not in names:
+                raise ValueError(f"unknown TrainConfig key {key!r}")
+        for name in names:
+            if name not in data:
+                raise ValueError(f"missing TrainConfig key {name!r}")
         return cls(**data)
 
 

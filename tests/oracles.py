@@ -1,7 +1,10 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately naive: plain loops, plain floats, no
-shared code with the package under test beyond its data containers.
+shared code with the package under test beyond its data containers. The
+one exception is the reasoner kernel at the end, kept in the numpy form it
+had before it was optimized, so the optimized kernel can be held to the
+same bits.
 """
 
 from __future__ import annotations
@@ -9,6 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from dataclasses import dataclass, field
+
+import numpy as np
 
 _OBJECT = re.compile(r"^(obj|sgg)\d+$")
 _STRUCTURAL = re.compile(r"^(target|targetSgg|cond\d+|type|typeSgg|pos\d+)$")
@@ -346,3 +352,189 @@ def reference_scene_graphs(data) -> list:
     if not isinstance(data, list):
         raise SchemaError("$", "top level must be a scene graph or an array of them")
     return [reference_parse_scene_graph(d, f"$[{i}]") for i, d in enumerate(data)]
+
+
+# ---------------------------------------------------------------------------
+# The soft reasoner's kernel as it was before forward() kept the gradient
+# shares on its tape: every round builds a new valuation, and backward()
+# computes each soft OR's shares again from the recorded inputs. Same
+# graph attributes, same float operations in the same order.
+
+
+def _ref_pair_softor(x, y, gamma):
+    m = np.maximum(x, y)
+    return m + gamma * np.log(np.exp((x - m) / gamma) + np.exp((y - m) / gamma))
+
+
+def _ref_pair_softmax(x, y, gamma):
+    m = np.maximum(x, y)
+    ex = np.exp((x - m) / gamma)
+    ey = np.exp((y - m) / gamma)
+    total = ex + ey
+    return ex / total, ey / total
+
+
+def _ref_segment_softor(vals, starts, sizes, gamma):
+    m = np.maximum.reduceat(vals, starts)
+    shifted = np.exp((vals - np.repeat(m, sizes)) / gamma)
+    return m + gamma * np.log(np.add.reduceat(shifted, starts))
+
+
+def _ref_segment_softmax(vals, starts, sizes, gamma):
+    m = np.maximum.reduceat(vals, starts)
+    shifted = np.exp((vals - np.repeat(m, sizes)) / gamma)
+    totals = np.add.reduceat(shifted, starts)
+    return shifted / np.repeat(totals, sizes)
+
+
+def _ref_group_sizes(graph):
+    return np.diff(np.append(graph.group_starts, graph.n_conj))
+
+
+@dataclass
+class ReferenceRound:
+    atoms_prev: np.ndarray
+    conj_prev: np.ndarray
+    body_vals: np.ndarray
+    products: np.ndarray
+    conj_new: np.ndarray
+    incoming: np.ndarray
+    raw: np.ndarray
+
+
+@dataclass
+class ReferenceTape:
+    graph: object
+    cfg: object
+    weights: np.ndarray
+    rounds: list = field(default_factory=list)
+
+
+def reference_forward(graph, fact_values, weights, cfg, record=False):
+    """``cfg.steps`` rounds of soft forward chaining from one value per
+    fact; returns the valuation, or ``(valuation, tape)`` with ``record``."""
+    fact_values = np.asarray(fact_values, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    gamma = cfg.gamma
+    group_sizes = _ref_group_sizes(graph)
+
+    atoms = np.zeros(graph.n_atoms, dtype=np.float64)
+    atoms[: graph.n_facts] = fact_values
+    conjs = np.zeros(graph.n_conj, dtype=np.float64)
+    if record:
+        weights = weights.copy()
+        tape = ReferenceTape(graph, cfg, weights)
+
+    for _ in range(cfg.steps):
+        atoms_prev = atoms
+        conj_prev = conjs
+
+        body_vals = np.empty(graph.body_atoms.size + 1, dtype=np.float64)
+        np.take(atoms_prev, graph.body_atoms, out=body_vals[:-1])
+        body_vals[-1] = 1.0
+        products = np.multiply.reduceat(body_vals, graph.body_reduce_starts)
+        conj_new = _ref_pair_softor(conj_prev, products, gamma)
+
+        atoms_new = atoms_prev.copy()
+        if graph.n_conj:
+            contrib = weights[graph.conj_rule] * conj_new
+            incoming = _ref_segment_softor(
+                contrib[graph.grouped_conj],
+                graph.group_starts,
+                group_sizes,
+                gamma,
+            )
+            raw = _ref_pair_softor(atoms_prev[graph.updated_atoms], incoming, gamma)
+            atoms_new[graph.updated_atoms] = np.clip(raw, 0.0, 1.0)
+        else:
+            incoming = np.zeros(0, dtype=np.float64)
+            raw = np.zeros(0, dtype=np.float64)
+
+        if record:
+            tape.rounds.append(
+                ReferenceRound(
+                    atoms_prev=atoms_prev,
+                    conj_prev=conj_prev,
+                    body_vals=body_vals,
+                    products=products,
+                    conj_new=conj_new,
+                    incoming=incoming,
+                    raw=raw,
+                )
+            )
+        atoms = atoms_new
+        conjs = conj_new
+
+    if record:
+        return atoms, tape
+    return atoms
+
+
+def reference_backward(tape, loss_grad):
+    """Reverse-mode ``(grad_weights, grad_facts)`` through a reference
+    tape, given d(loss)/d(final valuation)."""
+    graph, gamma, weights = tape.graph, tape.cfg.gamma, tape.weights
+    loss_grad = np.asarray(loss_grad, dtype=np.float64)
+    group_sizes = _ref_group_sizes(graph)
+
+    d_atoms = loss_grad.copy()
+    d_conjs = np.zeros(graph.n_conj, dtype=np.float64)
+    grad_weights = np.zeros(graph.n_rules, dtype=np.float64)
+
+    for rec in reversed(tape.rounds):
+        d_atoms_prev = d_atoms.copy()
+        if graph.n_conj:
+            ua = graph.updated_atoms
+
+            d_raw = d_atoms[ua] * ((rec.raw >= 0.0) & (rec.raw <= 1.0))
+            d_atoms_prev[ua] = 0.0
+
+            share_prev, share_in = _ref_pair_softmax(
+                rec.atoms_prev[ua], rec.incoming, gamma
+            )
+            d_atoms_prev[ua] += d_raw * share_prev
+            d_incoming = d_raw * share_in
+
+            contrib = weights[graph.conj_rule] * rec.conj_new
+            grouped = contrib[graph.grouped_conj]
+            shares = _ref_segment_softmax(
+                grouped, graph.group_starts, group_sizes, gamma
+            )
+            d_contrib = np.zeros(graph.n_conj, dtype=np.float64)
+            d_contrib[graph.grouped_conj] = (
+                np.repeat(d_incoming, group_sizes) * shares
+            )
+
+            np.add.at(
+                grad_weights, graph.conj_rule, d_contrib * rec.conj_new
+            )
+            d_conj_new = d_contrib * weights[graph.conj_rule] + d_conjs
+
+            share_c, share_p = _ref_pair_softmax(
+                rec.conj_prev, rec.products, gamma
+            )
+            d_conjs = d_conj_new * share_c
+            d_products = d_conj_new * share_p
+
+            zero_mask = rec.body_vals == 0.0
+            nonzero_vals = np.where(zero_mask, 1.0, rec.body_vals)
+            starts = graph.body_reduce_starts
+            zc = np.add.reduceat(zero_mask.astype(np.float64), starts)[
+                graph.slot_conj
+            ]
+            pnz = np.multiply.reduceat(nonzero_vals, starts)[graph.slot_conj]
+            zero_mask = zero_mask[:-1]
+            safe = nonzero_vals[:-1]
+            loo = np.where(
+                zero_mask,
+                np.where(zc == 1.0, pnz, 0.0),
+                np.where(zc == 0.0, pnz / safe, 0.0),
+            )
+            np.add.at(
+                d_atoms_prev,
+                graph.body_atoms,
+                d_products[graph.slot_conj] * loo,
+            )
+        d_atoms = d_atoms_prev
+
+    return grad_weights, d_atoms[: graph.n_facts]

@@ -105,6 +105,26 @@ def test_accepts_dicts_and_objects():
     assert average_precision([Pred()], answers) == 1.0
 
 
+@pytest.mark.parametrize(
+    "box, path",
+    [
+        ({"x": "1", "y": 1, "w": 5, "h": 5}, r"predictions\[0\]\.box\.x"),
+        ({"x": 1, "y": True, "w": 5, "h": 5}, r"predictions\[0\]\.box\.y"),
+        ({"x": 1, "y": 1, "w": 5}, r"predictions\[0\]\.box\.h"),
+    ],
+)
+def test_dict_boxes_must_hold_numbers(box, path):
+    # A coercing reader would score each of these 1.0 against this answer.
+    with pytest.raises(ValueError, match=path):
+        evaluate_instances([([(box, 0.9)], [Box(1, 1, 5, 5)])], EvalConfig())
+
+
+def test_answers_given_as_dicts_are_rejected():
+    answer = {"x": 0, "y": 0, "w": 10, "h": 10}
+    with pytest.raises(ValueError, match=r"answers\[0\] must be a Box, not dict"):
+        average_precision([(Box(0, 0, 10, 10), 0.9)], [answer])
+
+
 def test_score_key_override():
     answers = [Box(0, 0, 10, 10)]
     preds = [{"box": Box(0, 0, 10, 10), "confidence": 0.4}]

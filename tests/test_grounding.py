@@ -382,10 +382,13 @@ def test_reasoning_graph_index_arrays_match_numpy_reference(case):
         "body_starts": starts,
         "slot_conj": np.repeat(np.arange(graph.n_conj), counts),
         "body_reduce_starts": reduce_starts,
+        "body_gather": np.append(graph.body_atoms, graph.n_atoms),
         "grouped_conj": order,
         "updated_atoms": heads[boundary],
         "group_starts": boundary,
-        "group_sizes": np.diff(np.append(boundary, graph.n_conj)),
+        "group_of": np.repeat(
+            np.arange(boundary.size), np.diff(np.append(boundary, graph.n_conj))
+        ),
     }
     for name, want in expected.items():
         got = getattr(graph, name)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deixis.grounding import build_reasoning_graph
 from deixis.logic import FactSet, atom, parse_program
@@ -19,7 +19,12 @@ from deixis.reasoner import (
 )
 from deixis.scene import Box, SceneGraph, SceneObject, SceneRelation
 
-from oracles import finite_difference, oracle_softor
+from oracles import (
+    finite_difference,
+    oracle_softor,
+    reference_backward,
+    reference_forward,
+)
 
 PROGRAM_1 = (
     "cond1(X):-on(X,Y),type(Y,boat).\n"
@@ -172,6 +177,74 @@ def test_backward_matches_finite_differences():
         fd_v = finite_difference(lambda fv: loss(fv=fv), list(fact_values))
         np.testing.assert_allclose(grad_w, fd_w, rtol=1e-4, atol=1e-7)
         np.testing.assert_allclose(grad_facts, fd_v, rtol=1e-4, atol=1e-7)
+
+
+# Rules the kernel property draws from: heads with several conjunctions
+# (target), a recursive rule (reach) and a weighted program fact, whose
+# empty body reads the sentinel 1.0.
+KERNEL_RULES = (
+    "cond1(X):-link(X,Y),mark(Y).",
+    "cond2(X):-link(Y,X),mark(X).",
+    "target(X):-cond1(X),cond2(X).",
+    "0.5: target(X):-cond2(X),link(X,Y).",
+    "reach(X,Y):-link(X,Y).",
+    "reach(X,Z):-reach(X,Y),link(Y,Z).",
+    "target(X):-reach(X,X).",
+    "0.7: mark(obj1).",
+)
+
+
+def same_bits(got, want) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rules=st.sets(st.integers(0, len(KERNEL_RULES) - 1), min_size=1),
+    n_objects=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.floats(0.01, 0.2),
+    steps=st.integers(1, 8),
+)
+@example(rules={2}, n_objects=3, seed=0, gamma=0.05, steps=3)  # no conjunction
+@example(rules={7}, n_objects=1, seed=1, gamma=0.01, steps=2)  # only the sentinel
+@example(rules=set(range(len(KERNEL_RULES))), n_objects=4, seed=2, gamma=0.2, steps=8)
+def test_kernel_matches_the_reference_bit_for_bit(rules, n_objects, seed, gamma, steps):
+    """forward and backward give the reference kernel's bits: the
+    valuation, each round's conjunction values and both gradients."""
+    rng = np.random.default_rng(seed)
+    consts = [f"obj{i}" for i in range(1, n_objects + 1)]
+    facts = FactSet()
+    for a in consts:
+        for b in consts:
+            if rng.random() < 0.5:
+                facts.add(atom("link", a, b))
+        if rng.random() < 0.7:
+            facts.add(atom("mark", a))
+    program = parse_program("\n".join(KERNEL_RULES[i] for i in sorted(rules)))
+    graph = build_reasoning_graph(program, facts)
+    # Facts at exactly 0 and 1 as well as in between, so rounds take both
+    # leave-one-out paths.
+    fact_values = np.where(
+        rng.random(graph.n_facts) < 0.3,
+        rng.integers(0, 2, graph.n_facts).astype(np.float64),
+        rng.uniform(0.0, 1.0, graph.n_facts),
+    )
+    weights = rng.uniform(0.0, 1.0, graph.n_rules)
+    loss_grad = rng.normal(size=graph.n_atoms)
+    cfg = ReasonerConfig(gamma=gamma, steps=steps)
+
+    v, tape = forward(graph, fact_values, weights, cfg, record=True)
+    ref_v, ref_tape = reference_forward(graph, fact_values, weights, cfg, record=True)
+    assert same_bits(v, ref_v)
+    assert same_bits(forward(graph, fact_values, weights, cfg), v)
+    assert len(tape.rounds) == len(ref_tape.rounds) == steps
+    for rec, ref in zip(tape.rounds, ref_tape.rounds):
+        assert same_bits(rec.conj_new, ref.conj_new)
+    grad_w, grad_facts = backward(tape, loss_grad)
+    ref_w, ref_facts = reference_backward(ref_tape, loss_grad)
+    assert same_bits(grad_w, ref_w)
+    assert same_bits(grad_facts, ref_facts)
 
 
 def test_backward_returns_one_fact_gradient_per_fact():

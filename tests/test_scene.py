@@ -21,6 +21,7 @@ from deixis.scene import (
     canon_predicate,
     load_scene_graphs,
     object_constants,
+    object_positions,
     parse_scene_graph,
     scene_graph_to_dict,
     scene_graph_to_facts,
@@ -135,6 +136,10 @@ def test_object_constants_are_positional():
     constants = object_constants(sg)
     assert constants[42].name == "obj1"
     assert constants[7].name == "obj2"
+    # The name -> position table is built once and kept on the graph.
+    positions = object_positions(sg)
+    assert positions == {"obj1": 0, "obj2": 1}
+    assert object_positions(sg) is positions
 
 
 def test_parse_scene_graph_tolerates_vg_shapes(data_dir):

@@ -101,6 +101,15 @@ def test_train_config_round_trip():
         TrainConfig(steps=-1)
 
 
+def test_train_config_from_dict_names_a_bad_key():
+    data = TrainConfig().to_dict()
+    with pytest.raises(ValueError, match="unknown TrainConfig key 'momentum'"):
+        TrainConfig.from_dict({**data, "momentum": 0.9})
+    del data["lr"]
+    with pytest.raises(ValueError, match="missing TrainConfig key 'lr'"):
+        TrainConfig.from_dict(data)
+
+
 @pytest.mark.parametrize("field", ["lr", "rmsprop_eps"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_train_config_rejects_non_finite(field, value):
