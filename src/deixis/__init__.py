@@ -99,7 +99,6 @@ from .training import (
     bce_loss,
     evaluate_mixture,
     label_predictions,
-    load_checkpoint,
     make_mixture_task,
     save_checkpoint,
     save_trace,
@@ -147,7 +146,7 @@ __all__ = [
     # training
     "MixtureTask", "TrainConfig", "TrainResult", "TrainingExample",
     "bce_loss", "evaluate_mixture", "label_predictions",
-    "load_checkpoint", "make_mixture_task", "save_checkpoint", "save_trace",
+    "make_mixture_task", "save_checkpoint", "save_trace",
     "specialize_program", "train_mixture",
     # evaluation
     "EmptyEvaluation", "EvalConfig", "EvalReport", "InstanceResult",

@@ -186,18 +186,14 @@ def cmd_reason(args) -> int:
         )
         predictions = extract_targets(graph, v_final, sg, reasoner_cfg, rng=rng)
 
-        fired = ()
-        if graph.n_conj:
-            conj_final = tape.rounds[-1].conj_new
-            fired = tuple(
-                sorted(
-                    {
-                        int(r)
-                        for r, value in zip(graph.conj_rule, conj_final)
-                        if value > reasoner_cfg.target_threshold
-                    }
-                )
-            )
+        # A conjunction's value is the product of its body atoms.
+        fired = sorted(
+            {
+                int(r)
+                for r, value in zip(graph.conj_rule, tape.rounds[-1].products)
+                if value > reasoner_cfg.target_threshold
+            }
+        )
         results.append(
             {
                 "image_id": sg.image_id,

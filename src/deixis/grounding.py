@@ -452,7 +452,6 @@ class ReasoningGraph:
         weights.flags.writeable = False
 
         self.atoms: tuple[Atom, ...] = tuple(atoms)
-        self.atom_index: dict[Atom, int] = index
         self.n_facts: int = len(facts)
         self.n_atoms: int = len(atoms)
         self.n_conj: int = len(ground_rules)

@@ -1,40 +1,48 @@
 """Differentiable forward chaining over a grounded reasoning graph.
 
 The reasoner runs a fixed number of message-passing rounds on the bipartite
-graph built by :mod:`deixis.grounding`.  Each round first scores every
-conjunction from the previous atom valuation (a soft AND via product, folded
-into the running conjunction value with a soft OR), then updates every atom
-that appears as a rule head (a soft OR over its weighted incoming
-conjunctions, folded into the previous atom value and clamped to 1.0).
+graph built by :mod:`deixis.grounding`.  The only state a round carries to
+the next is the atom valuation.  Each round scores every conjunction as the
+product of its body atoms under the previous valuation (a soft AND), then
+sets every atom that appears as a rule head to one soft OR of its own fact
+value (0 for a derived atom) and its weighted conjunctions, clamped to
+[0, 1].
 
-All soft ORs use the same log-sum-exp relaxation::
+That soft OR is the zero-preserving form of the log-sum-exp relaxation::
 
-    softor(x_1..x_n) = gamma * log(sum_i exp(x_i / gamma))
+    zp(x_1..x_n) = gamma * log(sum_i exp(x_i / gamma) - (n - 1))
 
-which is exact for a single input and otherwise overshoots the maximum by at
-most ``gamma * log(n)``.
+For non-negative inputs it never falls below the maximum, it equals the
+maximum whenever all inputs but one are 0, and it is exactly 0 when every
+input is 0, so an atom with no evidence scores 0 however many rounds run
+(∂ILP amalgamates the same way; Evans and Grefenstette, JAIR 2018).  It is
+associative, which is why a head takes one soft OR over all its inputs.
+The public :func:`softor` keeps the plain closed form
+``gamma * log(sum_i exp(x_i / gamma))`` of NEUMANN's γ-soft OR, which
+overshoots the maximum by at most ``gamma * log(n)``.
+
+Since a head reads only its fact value and the previous valuation of its
+bodies, every atom of an acyclic graph is final once the round count
+reaches its proof depth: rounds past it change nothing.
 
 ``forward`` takes one value per input fact (the graph's first ``n_facts``
 atoms) and starts every other atom at 0.  ``forward(record=True)`` also
 returns a tape: the graph, the config, a read-only copy of the weights,
 and for each round what the reverse sweep reads.  That is the padded body
-values and products of the soft AND, the new conjunction values, the
-clamp mask, and the gradient shares of the round's three soft ORs, which
-forward takes from the exponentials it has already computed (each
-input's shifted exponential over their total).  ``backward(tape,
-loss_grad)`` replays the tape with nothing but the loss gradient and
-evaluates no soft OR again: the reverse-mode trade of storing what the
-reverse sweep needs instead of computing it twice (Griewank and Walther,
-*Evaluating Derivatives*, 2008).  It gives exact gradients of any scalar
-loss with respect to the rule weights and the fact values.
+values and the products of the soft AND, the clamp mask, and the gradient
+shares of the round's soft ORs, which forward takes from the exponentials
+it has already computed (each input's shifted exponential over the
+total).  ``backward(tape, loss_grad)`` replays the tape with nothing but
+the loss gradient and evaluates no soft OR again: the reverse-mode trade
+of storing what the reverse sweep needs instead of computing it twice
+(Griewank and Walther, *Evaluating Derivatives*, 2008).  It gives exact
+gradients of any scalar loss with respect to the rule weights and the
+fact values.
 
 Most of the cost of a round is the fixed cost of each numpy call, not
 work that grows with the graph, so the round loops keep the call count
-low: both operands of a pairwise soft OR sit in the two rows of one
-array, the per-call index arrays and gathered weights are read once
-before the loop, and derived atoms are updated in place.  The float
-operations are those of a plain round-by-round evaluation, on the same
-operands in the same order, so none of this changes a bit of the results.
+low: the per-call index arrays, gathered weights and head fact values are
+read once before the loop, and derived atoms are updated in place.
 """
 
 from __future__ import annotations
@@ -62,7 +70,9 @@ class ReasonerConfig:
     """Knobs for the soft forward chainer.
 
     gamma:  smoothness of the log-sum-exp soft OR.  Smaller is sharper.
-    steps:  number of message-passing rounds (the proof-depth bound).
+    steps:  number of message-passing rounds, a bound on proof depth:
+        rounds past the depth of a graph's deepest proof change
+        nothing.
     target_threshold:  minimum score for an object to count as a target.
     fallback_score_range:  score range for the random fallback object used
         when nothing clears the threshold.
@@ -110,43 +120,35 @@ def softor(values, gamma: float) -> float:
     return m + gamma * float(np.log(np.exp((xs - m) / gamma).sum()))
 
 
-def _pair_softor(pair: np.ndarray, gamma: float, shares: bool, out=None):
-    """Elementwise softor of the two rows of ``pair``, written to ``out``
-    when given.
-
-    Returns the softor and, when ``shares`` is true, the gradient share of
-    each input in the same two rows (else None): each input's shifted
-    exponential over their total.
-    """
-    m = np.maximum(pair[0], pair[1])
-    e = np.exp((pair - m) / gamma)
-    total = e[0] + e[1]
-    value = np.add(m, gamma * np.log(total), out=out)
-    if not shares:
-        return value, None
-    e /= total
-    return value, e
-
-
-def _segment_softor(
+def _head_softor(
+    base: np.ndarray,
     vals: np.ndarray,
     starts: np.ndarray,
     group_of: np.ndarray,
     gamma: float,
     shares: bool,
-    out: np.ndarray,
 ):
-    """Softor within each contiguous non-empty segment of ``vals``, written
-    to ``out``; ``group_of`` gives the segment of each element. Returns the
-    gradient share of each element when ``shares`` is true, else None."""
-    m = np.maximum.reduceat(vals, starts)
-    shifted = np.exp((vals - m[group_of]) / gamma)
-    totals = np.add.reduceat(shifted, starts)
-    np.add(m, gamma * np.log(totals), out=out)
+    """Zero-preserving softor of each head's fact value in ``base`` with its
+    contiguous non-empty segment of ``vals``; ``group_of`` gives the segment
+    of each element.
+
+    Computed with the max shift ``m`` as ``m + gamma * log(exp((base - m) /
+    gamma) + sum(exp((vals - m) / gamma) - exp(-m / gamma)))``, so an input
+    of 0 adds exactly nothing. Returns the unclamped values and, when
+    ``shares`` is true, the gradient share of each base value and of each
+    element (else two Nones): its shifted exponential over the total.
+    """
+    m = np.maximum(base, np.maximum.reduceat(vals, starts))
+    floor = np.exp(-m / gamma)
+    e_base = np.exp((base - m) / gamma)
+    e_vals = np.exp((vals - m[group_of]) / gamma)
+    total = e_base + np.add.reduceat(e_vals - floor[group_of], starts)
+    value = m + gamma * np.log(total)
     if not shares:
-        return None
-    shifted /= totals[group_of]
-    return shifted
+        return value, None, None
+    e_base /= total
+    e_vals /= total[group_of]
+    return value, e_base, e_vals
 
 
 @dataclass
@@ -154,25 +156,19 @@ class _RoundRecord:
     """What backward() reads of one message-passing round.
 
     ``body_vals``: the body values, padded with the sentinel 1.0;
-    ``products``: the soft AND of each conjunction;
-    ``conj_new``: the conjunction values the round ends with;
-    ``conj_shares``: the gradient shares of ``conj_new`` with respect to the
-    previous conjunction values (row 0) and ``products`` (row 1);
+    ``products``: the soft AND of each conjunction, which is its value;
+    ``fact_shares``: the gradient share of each updated atom's fact value
+    in its soft OR;
     ``head_shares``: the gradient share of each weighted conjunction in its
     head's soft OR, in grouped order;
-    ``raw_shares``: the gradient shares of each updated atom's unclamped
-    value with respect to its previous value (row 0) and that soft OR
-    (row 1);
-    ``unclamped``: whether that value lay in [0, 1], so the clamp passed its
-    gradient.
+    ``unclamped``: whether that soft OR lay in [0, 1], so the clamp passed
+    its gradient.
     """
 
     body_vals: np.ndarray
     products: np.ndarray
-    conj_new: np.ndarray
-    conj_shares: np.ndarray
+    fact_shares: np.ndarray
     head_shares: np.ndarray
-    raw_shares: np.ndarray
     unclamped: np.ndarray
 
 
@@ -180,8 +176,9 @@ class _RoundRecord:
 class Tape:
     """Forward-pass recording that backward() replays in reverse: the graph
     and config it ran under, a read-only copy of its weights, and one
-    :class:`_RoundRecord` per round. The records hold the gradient shares
-    forward computed, so backward evaluates no soft OR again."""
+    :class:`_RoundRecord` per round. A round keeps no conjunction state, and
+    its record holds the gradient shares of its one soft OR per head, so
+    backward evaluates no soft OR again."""
 
     graph: ReasoningGraph
     cfg: ReasonerConfig
@@ -200,8 +197,9 @@ def forward(
 
     ``fact_values`` holds one value per input fact; every derived atom
     starts at 0.  Returns the final atom valuation, or ``(valuation, tape)``
-    when ``record`` is true.  The valuation of an atom never decreases
-    across rounds and is clamped to at most 1.0.
+    when ``record`` is true.  The valuation of an atom is clamped to at
+    most 1.0, and an atom every derivation of which has product 0 keeps
+    its fact value, 0 for a derived atom.
     """
     fact_values = np.asarray(fact_values, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -216,22 +214,21 @@ def forward(
             f"graph has {graph.n_rules} rules"
         )
     gamma = cfg.gamma
-    n_atoms, n_conj = graph.n_atoms, graph.n_conj
+    n_atoms = graph.n_atoms
     gather = graph.body_gather
     reduce_starts = graph.body_reduce_starts
     grouped = graph.grouped_conj
     group_starts, group_of = graph.group_starts, graph.group_of
     updated = graph.updated_atoms
-    n_updated = updated.size
 
     # One slot past the atoms holds the sentinel 1.0 that the body gather
     # reads for an empty body (a weighted program fact).
     atoms = np.zeros(n_atoms + 1, dtype=np.float64)
     atoms[: graph.n_facts] = fact_values
     atoms[n_atoms] = 1.0
-    # Row 0 holds the running conjunction values, row 1 the round's
-    # products, so one soft OR covers both rows.
-    conj = np.zeros((2, n_conj), dtype=np.float64)
+    # Each head's fact value, 0 for a derived atom, read before any round
+    # writes over it.
+    base = atoms.take(updated)
     grouped_weights = weights.take(graph.conj_rule).take(grouped)
     if record:
         weights = weights.copy()
@@ -240,28 +237,21 @@ def forward(
 
     for _ in range(cfg.steps):
         # Soft AND: each conjunction scores the product of its body atoms
-        # under the previous valuation, folded into its running value.
+        # under the previous valuation.
         body_vals = atoms[gather]
-        products = np.multiply.reduceat(body_vals, reduce_starts, out=conj[1])
-        conj_next = np.empty((2, n_conj), dtype=np.float64)
-        conj_new, conj_shares = _pair_softor(conj, gamma, record, out=conj_next[0])
-        conj = conj_next
+        products = np.multiply.reduceat(body_vals, reduce_starts)
 
-        # Soft OR: each head atom folds in the weighted disjunction of its
-        # freshly scored conjunctions, clamped to stay a valuation. Row 0
-        # holds the heads' previous values, read before the update writes
-        # over them, and row 1 that disjunction.
-        head = np.empty((2, n_updated), dtype=np.float64)
-        atoms.take(updated, out=head[0])
-        head_shares = _segment_softor(
-            grouped_weights * conj_new[grouped],
+        # Soft OR: each head atom is the zero-preserving disjunction of its
+        # fact value and its weighted conjunctions, clamped to stay a
+        # valuation.
+        raw, fact_shares, head_shares = _head_softor(
+            base,
+            grouped_weights * products[grouped],
             group_starts,
             group_of,
             gamma,
             record,
-            out=head[1],
         )
-        raw, raw_shares = _pair_softor(head, gamma, record)
         clamped = np.maximum(raw, 0.0)
         np.minimum(clamped, 1.0, out=clamped)
         atoms[updated] = clamped
@@ -271,10 +261,8 @@ def forward(
                 _RoundRecord(
                     body_vals=body_vals,
                     products=products,
-                    conj_new=conj_new,
-                    conj_shares=conj_shares,
+                    fact_shares=fact_shares,
                     head_shares=head_shares,
-                    raw_shares=raw_shares,
                     unclamped=clamped == raw,
                 )
             )
@@ -307,27 +295,23 @@ def backward(tape: Tape, loss_grad) -> tuple[np.ndarray, np.ndarray]:
     conj_weights = tape.weights.take(conj_rule)
 
     d_atoms = loss_grad.copy()
-    d_conjs = np.zeros(n_conj, dtype=np.float64)
+    d_base = np.zeros(updated.size, dtype=np.float64)
     grad_weights = np.zeros(graph.n_rules, dtype=np.float64)
 
     for rec in reversed(tape.rounds):
-        # atoms[updated] = clamp(raw) overwrote the previous values, which
-        # reach the loss only through raw = softor(previous, incoming):
-        # their gradient restarts at +0.0 and takes that share (0.0 + x,
-        # which also turns -0.0 into +0.0).
+        # atoms[updated] = clamp(raw) overwrote the previous values, and raw
+        # reads the heads' fact values instead of them: their gradient
+        # restarts at 0, and the fact values take their share.
         d_raw = d_atoms[updated] * rec.unclamped
-        d_head = d_raw * rec.raw_shares
-        d_atoms[updated] = d_head[0] + 0.0
+        d_atoms[updated] = 0.0
+        d_base += d_raw * rec.fact_shares
 
-        # incoming = segment softor over weights[conj_rule] * conj_new,
-        # grouped by head; every conjunction is in exactly one group.
+        # raw also reads weights[conj_rule] * products, grouped by head;
+        # every conjunction is in exactly one group.
         d_contrib = np.empty(n_conj, dtype=np.float64)
-        d_contrib[grouped] = d_head[1][group_of] * rec.head_shares
-        np.add.at(grad_weights, conj_rule, d_contrib * rec.conj_new)
-
-        # conj_new = softor(conj_prev, products)
-        d_conj = (d_contrib * conj_weights + d_conjs) * rec.conj_shares
-        d_conjs, d_products = d_conj[0], d_conj[1]
+        d_contrib[grouped] = d_raw[group_of] * rec.head_shares
+        np.add.at(grad_weights, conj_rule, d_contrib * rec.products)
+        d_products = d_contrib * conj_weights
 
         # products[i] = prod of body values. The leave-one-out product of
         # a slot is the product over the others: with no zero factor it is
@@ -340,8 +324,10 @@ def backward(tape: Tape, loss_grad) -> tuple[np.ndarray, np.ndarray]:
             loo = _zero_safe_leave_one_out(graph, rec.body_vals)
         np.add.at(d_atoms, body_atoms, d_products[slot_conj] * loo)
 
-    # d_conjs now refers to conj round 0, which is the zero constant, and
-    # every atom past the facts starts at the constant 0.
+    # d_atoms now refers to the starting valuation: the fact values, then
+    # derived atoms at the constant 0. A head that is a fact also read its
+    # value in every round.
+    d_atoms[updated] += d_base
     return grad_weights, d_atoms[: graph.n_facts]
 
 

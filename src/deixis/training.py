@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,19 +120,6 @@ class TrainConfig:
             "rmsprop_eps": self.rmsprop_eps,
             "seed": self.seed,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        """The config that :meth:`to_dict` wrote: every field, and no other
-        key. A missing or unknown key raises ValueError naming it."""
-        names = [f.name for f in fields(cls)]
-        for key in data:
-            if key not in names:
-                raise ValueError(f"unknown TrainConfig key {key!r}")
-        for name in names:
-            if name not in data:
-                raise ValueError(f"missing TrainConfig key {name!r}")
-        return cls(**data)
 
 
 def specialize_program(program: Program) -> Program:
@@ -483,38 +470,16 @@ def train_mixture(
     return TrainResult(theta=theta, weights=sigmoid(theta), trace=trace)
 
 
-def save_checkpoint(
-    path: str,
-    theta,
-    cfg: TrainConfig,
-    step: int,
-    rng: np.random.Generator | None = None,
-) -> None:
-    """JSON checkpoint: parameters, config, step, and RNG state."""
+def save_checkpoint(path: str, theta, cfg: TrainConfig, step: int) -> None:
+    """JSON checkpoint: parameters, config and step."""
     payload = {
         "theta": list(np.asarray(theta, dtype=np.float64)),
         "config": cfg.to_dict(),
         "step": int(step),
-        "rng_state": rng.bit_generator.state if rng is not None else None,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-def load_checkpoint(
-    path: str,
-) -> tuple[np.ndarray, TrainConfig, int, np.random.Generator | None]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    theta = np.array(payload["theta"], dtype=np.float64)
-    cfg = TrainConfig.from_dict(payload["config"])
-    step = int(payload["step"])
-    rng = None
-    if payload.get("rng_state") is not None:
-        rng = np.random.default_rng()
-        rng.bit_generator.state = payload["rng_state"]
-    return theta, cfg, step, rng
 
 
 def save_trace(path: str, trace: list[TraceStep]) -> None:

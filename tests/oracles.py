@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive: plain loops, plain floats, no
 shared code with the package under test beyond its data containers. The
-one exception is the reasoner kernel at the end, kept in the numpy form it
-had before it was optimized, so the optimized kernel can be held to the
-same bits.
+one exception is the reasoner kernel at the end, written as plain
+round-by-round numpy with the package kernel's float operations, so that
+kernel can be held to the same bits.
 """
 
 from __future__ import annotations
@@ -355,36 +355,31 @@ def reference_scene_graphs(data) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The soft reasoner's kernel as it was before forward() kept the gradient
-# shares on its tape: every round builds a new valuation, and backward()
-# computes each soft OR's shares again from the recorded inputs. Same
-# graph attributes, same float operations in the same order.
+# The soft reasoner's kernel in plain round-by-round numpy: every round
+# builds a new valuation, and backward() computes each soft OR's shares
+# again from the recorded inputs. Same graph attributes, same float
+# operations in the same order as the package's kernel.
 
 
-def _ref_pair_softor(x, y, gamma):
-    m = np.maximum(x, y)
-    return m + gamma * np.log(np.exp((x - m) / gamma) + np.exp((y - m) / gamma))
+def _ref_head_exps(base, vals, starts, sizes, gamma):
+    """The shift, the shifted exponentials and the total of each head's
+    zero-preserving soft OR over its fact value and its segment."""
+    m = np.maximum(base, np.maximum.reduceat(vals, starts))
+    floor = np.exp(-m / gamma)
+    e_base = np.exp((base - m) / gamma)
+    e_vals = np.exp((vals - np.repeat(m, sizes)) / gamma)
+    total = e_base + np.add.reduceat(e_vals - np.repeat(floor, sizes), starts)
+    return m, e_base, e_vals, total
 
 
-def _ref_pair_softmax(x, y, gamma):
-    m = np.maximum(x, y)
-    ex = np.exp((x - m) / gamma)
-    ey = np.exp((y - m) / gamma)
-    total = ex + ey
-    return ex / total, ey / total
+def _ref_head_softor(base, vals, starts, sizes, gamma):
+    m, _, _, total = _ref_head_exps(base, vals, starts, sizes, gamma)
+    return m + gamma * np.log(total)
 
 
-def _ref_segment_softor(vals, starts, sizes, gamma):
-    m = np.maximum.reduceat(vals, starts)
-    shifted = np.exp((vals - np.repeat(m, sizes)) / gamma)
-    return m + gamma * np.log(np.add.reduceat(shifted, starts))
-
-
-def _ref_segment_softmax(vals, starts, sizes, gamma):
-    m = np.maximum.reduceat(vals, starts)
-    shifted = np.exp((vals - np.repeat(m, sizes)) / gamma)
-    totals = np.add.reduceat(shifted, starts)
-    return shifted / np.repeat(totals, sizes)
+def _ref_head_softmax(base, vals, starts, sizes, gamma):
+    _, e_base, e_vals, total = _ref_head_exps(base, vals, starts, sizes, gamma)
+    return e_base / total, e_vals / np.repeat(total, sizes)
 
 
 def _ref_group_sizes(graph):
@@ -394,11 +389,8 @@ def _ref_group_sizes(graph):
 @dataclass
 class ReferenceRound:
     atoms_prev: np.ndarray
-    conj_prev: np.ndarray
     body_vals: np.ndarray
     products: np.ndarray
-    conj_new: np.ndarray
-    incoming: np.ndarray
     raw: np.ndarray
 
 
@@ -407,6 +399,7 @@ class ReferenceTape:
     graph: object
     cfg: object
     weights: np.ndarray
+    base: np.ndarray
     rounds: list = field(default_factory=list)
 
 
@@ -420,50 +413,44 @@ def reference_forward(graph, fact_values, weights, cfg, record=False):
 
     atoms = np.zeros(graph.n_atoms, dtype=np.float64)
     atoms[: graph.n_facts] = fact_values
-    conjs = np.zeros(graph.n_conj, dtype=np.float64)
+    # Each head's fact value, 0 for a derived atom.
+    base = atoms[graph.updated_atoms]
     if record:
         weights = weights.copy()
-        tape = ReferenceTape(graph, cfg, weights)
+        tape = ReferenceTape(graph, cfg, weights, base)
 
     for _ in range(cfg.steps):
         atoms_prev = atoms
-        conj_prev = conjs
 
         body_vals = np.empty(graph.body_atoms.size + 1, dtype=np.float64)
         np.take(atoms_prev, graph.body_atoms, out=body_vals[:-1])
         body_vals[-1] = 1.0
         products = np.multiply.reduceat(body_vals, graph.body_reduce_starts)
-        conj_new = _ref_pair_softor(conj_prev, products, gamma)
 
         atoms_new = atoms_prev.copy()
         if graph.n_conj:
-            contrib = weights[graph.conj_rule] * conj_new
-            incoming = _ref_segment_softor(
+            contrib = weights[graph.conj_rule] * products
+            raw = _ref_head_softor(
+                base,
                 contrib[graph.grouped_conj],
                 graph.group_starts,
                 group_sizes,
                 gamma,
             )
-            raw = _ref_pair_softor(atoms_prev[graph.updated_atoms], incoming, gamma)
             atoms_new[graph.updated_atoms] = np.clip(raw, 0.0, 1.0)
         else:
-            incoming = np.zeros(0, dtype=np.float64)
             raw = np.zeros(0, dtype=np.float64)
 
         if record:
             tape.rounds.append(
                 ReferenceRound(
                     atoms_prev=atoms_prev,
-                    conj_prev=conj_prev,
                     body_vals=body_vals,
                     products=products,
-                    conj_new=conj_new,
-                    incoming=incoming,
                     raw=raw,
                 )
             )
         atoms = atoms_new
-        conjs = conj_new
 
     if record:
         return atoms, tape
@@ -476,45 +463,38 @@ def reference_backward(tape, loss_grad):
     graph, gamma, weights = tape.graph, tape.cfg.gamma, tape.weights
     loss_grad = np.asarray(loss_grad, dtype=np.float64)
     group_sizes = _ref_group_sizes(graph)
+    ua = graph.updated_atoms
 
     d_atoms = loss_grad.copy()
-    d_conjs = np.zeros(graph.n_conj, dtype=np.float64)
+    d_base = np.zeros(ua.size, dtype=np.float64)
     grad_weights = np.zeros(graph.n_rules, dtype=np.float64)
 
     for rec in reversed(tape.rounds):
         d_atoms_prev = d_atoms.copy()
         if graph.n_conj:
-            ua = graph.updated_atoms
-
+            # A head's new value reads its fact value, not its previous
+            # value.
             d_raw = d_atoms[ua] * ((rec.raw >= 0.0) & (rec.raw <= 1.0))
             d_atoms_prev[ua] = 0.0
 
-            share_prev, share_in = _ref_pair_softmax(
-                rec.atoms_prev[ua], rec.incoming, gamma
+            contrib = weights[graph.conj_rule] * rec.products
+            share_base, shares = _ref_head_softmax(
+                tape.base,
+                contrib[graph.grouped_conj],
+                graph.group_starts,
+                group_sizes,
+                gamma,
             )
-            d_atoms_prev[ua] += d_raw * share_prev
-            d_incoming = d_raw * share_in
-
-            contrib = weights[graph.conj_rule] * rec.conj_new
-            grouped = contrib[graph.grouped_conj]
-            shares = _ref_segment_softmax(
-                grouped, graph.group_starts, group_sizes, gamma
-            )
+            d_base += d_raw * share_base
             d_contrib = np.zeros(graph.n_conj, dtype=np.float64)
             d_contrib[graph.grouped_conj] = (
-                np.repeat(d_incoming, group_sizes) * shares
+                np.repeat(d_raw, group_sizes) * shares
             )
 
             np.add.at(
-                grad_weights, graph.conj_rule, d_contrib * rec.conj_new
+                grad_weights, graph.conj_rule, d_contrib * rec.products
             )
-            d_conj_new = d_contrib * weights[graph.conj_rule] + d_conjs
-
-            share_c, share_p = _ref_pair_softmax(
-                rec.conj_prev, rec.products, gamma
-            )
-            d_conjs = d_conj_new * share_c
-            d_products = d_conj_new * share_p
+            d_products = d_contrib * weights[graph.conj_rule]
 
             zero_mask = rec.body_vals == 0.0
             nonzero_vals = np.where(zero_mask, 1.0, rec.body_vals)
@@ -537,4 +517,5 @@ def reference_backward(tape, loss_grad):
             )
         d_atoms = d_atoms_prev
 
+    d_atoms[ua] += d_base
     return grad_weights, d_atoms[: graph.n_facts]

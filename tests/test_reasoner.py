@@ -79,7 +79,7 @@ def test_forward_two_rounds_derives_target():
     _, facts, graph, weights = boat_scene_setup()
     cfg = ReasonerConfig(gamma=0.01, steps=2)
     v = forward(graph, np.ones(len(facts)), weights, cfg)
-    target = v[graph.atom_index[atom("target", "obj1")]]
+    target = v[graph.atoms.index(atom("target", "obj1"))]
     assert target > 0.99
     assert np.all((v >= 0.0) & (v <= 1.0))
 
@@ -89,8 +89,8 @@ def test_forward_one_round_is_not_enough():
     _, facts, graph, weights = boat_scene_setup()
     cfg = ReasonerConfig(gamma=0.01, steps=1)
     v = forward(graph, np.ones(len(facts)), weights, cfg)
-    assert v[graph.atom_index[atom("target", "obj1")]] < 0.1
-    assert v[graph.atom_index[atom("cond1", "obj1")]] > 0.99
+    assert v[graph.atoms.index(atom("target", "obj1"))] < 0.1
+    assert v[graph.atoms.index(atom("cond1", "obj1"))] > 0.99
 
 
 def test_forward_zero_weight_blocks_rule():
@@ -99,7 +99,7 @@ def test_forward_zero_weight_blocks_rule():
     weights[2] = 0.0  # the target rule
     cfg = ReasonerConfig(gamma=0.01, steps=2)
     v = forward(graph, np.ones(len(facts)), weights, cfg)
-    assert v[graph.atom_index[atom("target", "obj1")]] < 0.1
+    assert v[graph.atoms.index(atom("target", "obj1"))] < 0.1
 
 
 def test_forward_shape_checks():
@@ -211,7 +211,8 @@ def same_bits(got, want) -> bool:
 @example(rules=set(range(len(KERNEL_RULES))), n_objects=4, seed=2, gamma=0.2, steps=8)
 def test_kernel_matches_the_reference_bit_for_bit(rules, n_objects, seed, gamma, steps):
     """forward and backward give the reference kernel's bits: the
-    valuation, each round's conjunction values and both gradients."""
+    valuation, each round's conjunction values (its products) and both
+    gradients."""
     rng = np.random.default_rng(seed)
     consts = [f"obj{i}" for i in range(1, n_objects + 1)]
     facts = FactSet()
@@ -240,11 +241,146 @@ def test_kernel_matches_the_reference_bit_for_bit(rules, n_objects, seed, gamma,
     assert same_bits(forward(graph, fact_values, weights, cfg), v)
     assert len(tape.rounds) == len(ref_tape.rounds) == steps
     for rec, ref in zip(tape.rounds, ref_tape.rounds):
-        assert same_bits(rec.conj_new, ref.conj_new)
+        assert same_bits(rec.products, ref.products)
     grad_w, grad_facts = backward(tape, loss_grad)
     ref_w, ref_facts = reference_backward(ref_tape, loss_grad)
     assert same_bits(grad_w, ref_w)
     assert same_bits(grad_facts, ref_facts)
+
+
+# An acyclic program up to four rounds deep: heads with several conjunctions
+# (target), a weighted program fact whose head is also an input fact
+# (mark(obj1)), and a rule over a derived atom (top).
+ACYCLIC_RULES = (
+    "cond1(X):-link(X,Y),mark(Y).",
+    "cond2(X):-link(Y,X),mark(X).",
+    "target(X):-cond1(X),cond2(X).",
+    "0.5: target(X):-cond2(X),link(X,Y).",
+    "top(X):-target(X),mark(X).",
+    "0.7: mark(obj1).",
+)
+
+
+def proof_depth(graph) -> int:
+    """The longest derivation in an acyclic graph, in rounds: a head sits
+    one round above the deepest body atom of its conjunctions."""
+    height = np.zeros(graph.n_atoms, dtype=np.int64)
+    changed = True
+    while changed:
+        changed = False
+        for c in range(graph.n_conj):
+            start, count = graph.body_starts[c], graph.body_counts[c]
+            body = graph.body_atoms[start : start + count]
+            h = 1 + (int(height[body].max()) if count else 0)
+            if h > height[graph.conj_head[c]]:
+                height[graph.conj_head[c]] = h
+                changed = True
+    return int(height.max(initial=0))
+
+
+def supported_atoms(graph, fact_values, weights) -> np.ndarray:
+    """Boolean closure: an input fact with a positive value, or the head
+    of a conjunction with a positive rule weight whose body atoms are all
+    supported."""
+    supported = np.zeros(graph.n_atoms, dtype=bool)
+    supported[: graph.n_facts] = fact_values > 0.0
+    changed = True
+    while changed:
+        changed = False
+        for c in range(graph.n_conj):
+            start, count = graph.body_starts[c], graph.body_counts[c]
+            body = graph.body_atoms[start : start + count]
+            head = graph.conj_head[c]
+            fires = weights[graph.conj_rule[c]] > 0.0 and supported[body].all()
+            if fires and not supported[head]:
+                supported[head] = True
+                changed = True
+    return supported
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rules=st.sets(st.integers(0, len(ACYCLIC_RULES) - 1), min_size=1),
+    n_objects=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.floats(0.01, 0.2),
+    steps=st.integers(1, 8),
+)
+@example(
+    rules=set(range(len(ACYCLIC_RULES))), n_objects=4, seed=3, gamma=0.2, steps=8
+)
+def test_no_evidence_scores_zero_and_rounds_past_the_depth_change_nothing(
+    rules, n_objects, seed, gamma, steps
+):
+    rng = np.random.default_rng(seed)
+    consts = [f"obj{i}" for i in range(1, n_objects + 1)]
+    facts = FactSet()
+    for a in consts:
+        for b in consts:
+            if rng.random() < 0.5:
+                facts.add(atom("link", a, b))
+        if rng.random() < 0.7:
+            facts.add(atom("mark", a))
+    program = parse_program("\n".join(ACYCLIC_RULES[i] for i in sorted(rules)))
+    graph = build_reasoning_graph(program, facts)
+    # Facts and weights at exactly 0 leave some atoms without evidence.
+    fact_values = rng.uniform(0.0, 1.0, graph.n_facts)
+    fact_values[rng.random(graph.n_facts) < 0.3] = 0.0
+    weights = rng.uniform(0.0, 1.0, graph.n_rules)
+    weights[rng.random(graph.n_rules) < 0.2] = 0.0
+    cfg = ReasonerConfig(gamma=gamma, steps=steps)
+
+    v = forward(graph, fact_values, weights, cfg)
+    unsupported = ~supported_atoms(graph, fact_values, weights)
+    assert np.all(v[unsupported] == 0.0)
+
+    depth = max(proof_depth(graph), 1)
+    at_depth = forward(graph, fact_values, weights, ReasonerConfig(gamma, depth))
+    for more in range(depth + 1, 9):
+        v_more = forward(graph, fact_values, weights, ReasonerConfig(gamma, more))
+        assert same_bits(v_more, at_depth)
+
+
+README_PROGRAM = "cond1(X):-on(X,Y),type(Y,boat).\ntarget(X):-cond1(X).\n"
+
+
+def readme_scene_setup(confidence):
+    """The 3-object scene with the man on the boat at ``confidence``, and
+    the README program grounded on it."""
+    from deixis.scene import scene_graph_to_facts
+
+    sg = make_scene(confidence)
+    program = parse_program(README_PROGRAM)
+    facts, values = scene_graph_to_facts(sg, program)
+    return sg, build_reasoning_graph(program, facts), values
+
+
+@pytest.mark.parametrize("gamma", [0.01, 0.05, 0.1])
+@pytest.mark.parametrize("steps", [2, 4, 8])
+def test_a_relation_at_confidence_zero_derives_nothing(gamma, steps):
+    """The man is on the boat at confidence 0.0, so nothing is on a boat:
+    target(obj1) scores exactly 0 at every smoothness and round count."""
+    sg, graph, values = readme_scene_setup(0.0)
+    cfg = ReasonerConfig(gamma=gamma, steps=steps)
+    v = forward(graph, values, graph.weights, cfg)
+    assert v[graph.atoms.index(atom("target", "obj1"))] == 0.0
+    assert v[graph.atoms.index(atom("cond1", "obj1"))] == 0.0
+    [prediction] = extract_targets(graph, v, sg, cfg)
+    assert prediction.fallback
+
+
+@settings(deadline=None)
+@given(
+    confidence=st.floats(0.0, 1.0),
+    gamma=st.floats(0.01, 0.2),
+    steps=st.integers(2, 8),
+)
+def test_a_single_derivation_scores_its_evidence_exactly(confidence, gamma, steps):
+    """Every other input of each soft OR is 0, so it is the maximum:
+    target(obj1) scores the relation's confidence, with no overshoot."""
+    _, graph, values = readme_scene_setup(confidence)
+    v = forward(graph, values, graph.weights, ReasonerConfig(gamma, steps))
+    assert v[graph.atoms.index(atom("target", "obj1"))] == confidence
 
 
 def test_backward_returns_one_fact_gradient_per_fact():
@@ -277,7 +413,7 @@ def test_tape_keeps_the_weights_forward_ran_with():
     assert len(tape.rounds) == cfg.steps
 
 
-def make_scene():
+def make_scene(confidence=1.0):
     return SceneGraph(
         image_id=1,
         objects=(
@@ -285,7 +421,7 @@ def make_scene():
             SceneObject(2, ("boat",), Box(20, 0, 10, 10), ()),
             SceneObject(3, ("dog",), Box(40, 0, 10, 10), ()),
         ),
-        relations=(SceneRelation(1, "on", 2),),
+        relations=(SceneRelation(1, "on", 2, confidence),),
     )
 
 

@@ -23,7 +23,6 @@ from deixis.training import (
     bce_loss,
     evaluate_mixture,
     label_predictions,
-    load_checkpoint,
     make_mixture_task,
     mixture_facts,
     save_checkpoint,
@@ -92,22 +91,11 @@ def test_bce_loss_reference_point():
     assert 0 < small < 0.02
 
 
-def test_train_config_round_trip():
-    cfg = TrainConfig(lr=0.02, steps=5, seed=3)
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+def test_train_config_rejects_negative_lr_and_steps():
     with pytest.raises(ValueError):
         TrainConfig(lr=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(steps=-1)
-
-
-def test_train_config_from_dict_names_a_bad_key():
-    data = TrainConfig().to_dict()
-    with pytest.raises(ValueError, match="unknown TrainConfig key 'momentum'"):
-        TrainConfig.from_dict({**data, "momentum": 0.9})
-    del data["lr"]
-    with pytest.raises(ValueError, match="missing TrainConfig key 'lr'"):
-        TrainConfig.from_dict(data)
 
 
 @pytest.mark.parametrize("field", ["lr", "rmsprop_eps"])
@@ -213,20 +201,12 @@ def test_evaluate_mixture_falls_back_when_target_is_underivable():
     assert evaluate_mixture(task, task.params, [example]) == 1.0
 
 
-def test_checkpoint_round_trip(tmp_path):
+def test_checkpoint_holds_theta_config_and_step(tmp_path):
     cfg = TrainConfig(steps=7, seed=9)
-    theta = np.array([0.25, -1.5])
-    rng = np.random.default_rng(9)
-    rng.random(5)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(str(path), theta, cfg, step=7, rng=rng)
-    theta2, cfg2, step, rng2 = load_checkpoint(str(path))
-    np.testing.assert_array_equal(theta2, theta)
-    assert cfg2 == cfg and step == 7
-    assert rng2.random() == rng.random()  # stream restored exactly
-
+    save_checkpoint(str(path), np.array([0.25, -1.5]), cfg, step=7)
     data = json.loads(path.read_text())
-    assert set(data) == {"theta", "config", "step", "rng_state"}
+    assert data == {"theta": [0.25, -1.5], "config": cfg.to_dict(), "step": 7}
 
 
 def test_trace_csv_format(tmp_path):
