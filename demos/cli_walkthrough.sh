@@ -25,8 +25,12 @@ EOF
 step "synthesize a grounding dataset from the corpus"
 deixis synth --kind deivg --scene-graphs scene_graphs.json \
     --k 2 --n 8 --seed 3 --output deivg.json
-python3 -c "import json; d = json.load(open('deivg.json')); \
-print('first prompt:', d[0]['deictic_prompt'])"
+python3 -c "
+import json
+with open('deivg.json') as fh:
+    d = json.load(fh)
+print('first prompt:', d[0]['deictic_prompt'])
+"
 
 step "synthesize list-operation puzzles"
 deixis synth --kind deiclevr --operation sort --n 6 --seed 3 \
@@ -37,7 +41,8 @@ deixis reason --scene-graphs scene_graphs.json \
     --structured '[["on","street"]]' --output predictions.json
 python3 -c "
 import json
-results = json.load(open('predictions.json'))['results']
+with open('predictions.json') as fh:
+    results = json.load(fh)['results']
 hits = [r for r in results if any(not p['fallback'] for p in r['predictions'])]
 print(f'{len(hits)} of {len(results)} scenes contain a real match')
 "
@@ -49,15 +54,18 @@ target(X):-cond1(X).
 EOF
 deixis reason --scene-graphs scene_graphs.json --program rules.pl \
     --output predictions2.json
-python3 -c "import json; \
-print('same predictions either way:', \
-json.load(open('predictions.json'))['results'] \
-== json.load(open('predictions2.json'))['results'])"
+python3 -c "
+import json
+with open('predictions.json') as a, open('predictions2.json') as b:
+    same = json.load(a)['results'] == json.load(b)['results']
+print('same predictions either way:', same)
+"
 
 step "every output comes with a manifest for reproducibility"
 python3 -c "
 import json
-m = json.load(open('predictions.json.manifest.json'))
+with open('predictions.json.manifest.json') as fh:
+    m = json.load(fh)
 print('command:', m['command'])
 print('config hash:', m['config_hash'][:16], '...')
 print('versions:', m['versions'])
@@ -74,7 +82,8 @@ deixis train --data train_data.json --scene-graphs scene_graphs.json \
     --out-dir run --steps 25 --train-n 24 --val-n 8 --test-n 8 --seed 7
 python3 -c "
 import json
-s = json.load(open('run/summary.json'))
+with open('run/summary.json') as fh:
+    s = json.load(fh)
 print('learned weights:', {k: round(v, 3) for k, v in s['weights'].items()})
 print('test mAP:', round(s['init_test_map'], 3), '->',
       round(s['final_test_map'], 3))
@@ -86,8 +95,10 @@ cat > defaults.json <<'EOF'
 EOF
 deixis --config defaults.json reason --structured '[["on","street"]]' \
     --output predictions3.json
-python3 -c "import json; \
-print('gamma from config:', \
-json.load(open('predictions3.json.manifest.json'))['config']['gamma'])"
+python3 -c "
+import json
+with open('predictions3.json.manifest.json') as fh:
+    print('gamma from config:', json.load(fh)['config']['gamma'])
+"
 
 printf '\nwalkthrough complete.\n'

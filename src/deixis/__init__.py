@@ -36,8 +36,8 @@ from .scene import (
 )
 from .grounding import (
     GroundRule,
+    GroundingTooLarge,
     ReasoningGraph,
-    UniverseTooLarge,
     build_reasoning_graph,
     ground_program,
     grounding_universe,
@@ -125,7 +125,7 @@ __all__ = [
     "Box", "DanglingReference", "SceneGraph", "SceneObject", "SceneRelation",
     "load_scene_graphs", "parse_scene_graph", "scene_graph_to_facts",
     # grounding
-    "GroundRule", "ReasoningGraph", "UniverseTooLarge",
+    "GroundRule", "GroundingTooLarge", "ReasoningGraph",
     "build_reasoning_graph", "ground_program", "grounding_universe",
     # reasoner
     "DimensionMismatch", "NoTargetAtoms", "ReasonerConfig", "TargetPrediction",

@@ -11,7 +11,7 @@ Secrets never go in the config: the chat API key is read from the
 environment variable named by --llm-key-env.
 
 Exit codes: 0 success; 2 bad input or schema, including an input too large
-to ground (a rule's candidate substitutions above the cap); 3
+to ground (grounding would build more bindings than its budget); 3
 external-service failure; 4 internal invariant violation or any other
 unexpected exception, reported in one line
 (``internal error: <Type>: <message>``) without a traceback.
@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__
 from .datasets import (
     DeicticInstance,
-    InsufficientCandidates,
     corrupt_scene_graph,
     generate_deiclevr,
     load_deivg,
@@ -42,7 +41,7 @@ from .datasets import (
     synthesize_deivg,
 )
 from .evaluation import EvalConfig, evaluate_instances
-from .grounding import UniverseTooLarge, build_reasoning_graph
+from .grounding import build_reasoning_graph
 from .logic import Program, parse_program, render_program, render_rule
 from .reasoner import (
     DimensionMismatch,
@@ -58,7 +57,9 @@ from .rulegen import (
     generate_program,
     template_rulegen,
 )
-from .scene import SceneGraph, load_scene_graphs, scene_graph_to_facts
+from .scene import (
+    SceneGraph, load_scene_graphs, parse_json, read_json, scene_graph_to_facts,
+)
 from .training import (
     TrainConfig,
     TrainingExample,
@@ -111,7 +112,7 @@ def _load_program_for_prompt(args) -> tuple[Program, dict]:
         with open(args.program, encoding="utf-8") as fh:
             return parse_program(fh.read()), {"source": "program_file"}
     if args.structured:
-        pairs = json.loads(args.structured)
+        pairs = parse_json(args.structured, "--structured")
         if not isinstance(pairs, list):
             raise ValueError(
                 "--structured must be a JSON array of [relation, attribute] pairs"
@@ -313,6 +314,14 @@ def _instance_examples(
 
 
 def cmd_train(args) -> int:
+    for flag, value, least in (
+        ("--train-n", args.train_n, 1),
+        ("--val-n", args.val_n, 1),
+        ("--test-n", args.test_n, 1),
+        ("--val-every", args.val_every, 0),
+    ):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     instances = load_deivg(args.data)
     total_needed = args.train_n + args.val_n + args.test_n
     # Every graph is checked; only those of the split's images are built.
@@ -475,8 +484,7 @@ _REQUIRED_SETTINGS = {
 def load_config_file(path: str) -> dict:
     """Read a JSON object of default settings, normalizing key spelling
     so "reason-steps" and "reason_steps" are the same key."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     return {key.replace("-", "_"): value for key, value in data.items()}
@@ -659,14 +667,7 @@ def main(argv=None) -> int:
     except ServiceError as exc:
         print(f"service error: {exc}", file=sys.stderr)
         return 3
-    except (
-        UniverseTooLarge,
-        InsufficientCandidates,
-        SyntaxError,
-        ValueError,
-        KeyError,
-        OSError,
-    ) as exc:
+    except (SyntaxError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

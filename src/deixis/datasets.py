@@ -40,6 +40,7 @@ from .scene import (
     SceneRelation,
     SchemaError,
     canon_constant,
+    read_json,
 )
 
 # The relation whitelist used when mining prompts from scene graphs.
@@ -72,7 +73,7 @@ _BARE_VERBS = frozenset({"has", "wears"})
 _VOWELS = frozenset("aeiou")
 
 
-class InsufficientCandidates(RuntimeError):
+class InsufficientCandidates(ValueError):
     """Fewer valid prompt candidates exist than were requested."""
 
 
@@ -356,11 +357,7 @@ def _parse_answer(record, path: str) -> AnswerObject:
 
 def load_deivg(path: str) -> list[DeicticInstance]:
     """Read a JSON instance file, tolerating both answer-name spellings."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"not valid JSON: {exc}") from exc
+    data = read_json(path)
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):
@@ -422,8 +419,7 @@ def load_predictions(path: str) -> list[list[tuple[Box, float]]]:
     """Read an ``eval --predictions`` file: one record per data record,
     each with a ``predictions`` array of {"box": {x, y, w, h}, "score"}
     entries. Boxes and scores must be finite numbers."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not isinstance(data, list):
         raise SchemaError("$", "top level must be an array of records")
     prediction_sets = []
@@ -707,11 +703,7 @@ def save_deiclevr(instances, path: str) -> None:
 
 
 def load_deiclevr(path: str) -> list[tuple[ClevrScene, str, int, Program]]:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"not valid JSON: {exc}") from exc
+    data = read_json(path)
     if not isinstance(data, list):
         raise SchemaError("$", "top level must be an array of records")
     out = []

@@ -36,13 +36,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .logic import Atom, FactSet, Predicate, Program, Term
+from .logic import Atom, FactSet, Predicate, Program, Term, render_rule
 from .scene import _object_like
 
 __all__ = [
     "GroundRule",
     "ReasoningGraph",
-    "UniverseTooLarge",
+    "GroundingTooLarge",
     "grounding_universe",
     "ground_program",
     "build_reasoning_graph",
@@ -50,9 +50,13 @@ __all__ = [
 
 _TARGET = Predicate("target", 1)
 
+# The most bindings one ground_program call may build. A binding costs
+# about 200 bytes, so this keeps grounding's memory near 200 MB.
+BINDING_BUDGET = 10**6
 
-class UniverseTooLarge(RuntimeError):
-    """The candidate grounding space exceeds the configured cap."""
+
+class GroundingTooLarge(ValueError):
+    """Grounding would build more bindings than BINDING_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -109,10 +113,9 @@ class _Plan:
     ``strata`` lists rule indices grouped by the strongly connected
     components of the predicate dependency graph, dependencies first, each
     with a flag that says whether the component is recursive (Tarjan's
-    algorithm). ``n_vars`` gives each rule's variable count. ``joins``
-    gives each rule's body atoms in join order, extensional ones first, as
-    steps ``(body index, predicate number, positions, key, binds, checks,
-    order, sort_new)``:
+    algorithm). ``joins`` gives each rule's body atoms in join order,
+    extensional ones first, as steps ``(body index, predicate number,
+    positions, key, binds, checks, order, sort_new)``:
 
     - ``positions`` are the bound argument positions, and ``key`` gives
       for each either the slot of an already-bound variable or None for a
@@ -128,11 +131,11 @@ class _Plan:
     constant, and ``body_at`` each body atom's place in join order.
     """
 
-    __slots__ = ("strata", "n_vars", "joins", "head_slots", "body_at")
+    __slots__ = ("strata", "joins", "head_slots", "body_at")
 
     def __init__(self, shape: tuple) -> None:
         intensional = {rule[0][0] for rule in shape}
-        n_vars, joins, head_slots, body_at = [], [], [], []
+        joins, head_slots, body_at = [], [], []
         for (_, head_args), *body in shape:
             ordered = sorted(
                 range(len(body)), key=lambda i: (body[i][0] in intensional, i)
@@ -167,14 +170,12 @@ class _Plan:
                     tuple(sorted(range(len(names)), key=names.__getitem__)),
                     p in intensional and len(binds) > 0,
                 ))
-            n_vars.append(len(slots))
             joins.append(tuple(steps))
             head_slots.append(
                 tuple(None if name is None else slots[name] for name in head_args)
             )
             body_at.append(tuple(ordered.index(i) for i in range(len(body))))
         self.strata = self._stratify(shape)
-        self.n_vars = tuple(n_vars)
         self.joins = tuple(joins)
         self.head_slots = tuple(head_slots)
         self.body_at = tuple(body_at)
@@ -236,12 +237,7 @@ class _Plan:
 _plan = lru_cache(maxsize=256)(_Plan)
 
 
-def ground_program(
-    program: Program,
-    facts: FactSet,
-    *,
-    max_groundings: int = 10**7,
-) -> list[GroundRule]:
+def ground_program(program: Program, facts: FactSet) -> list[GroundRule]:
     """Ground the rule instances that can fire.
 
     A bottom-up boolean fixpoint over atom *presence*: the input facts are
@@ -257,20 +253,24 @@ def ground_program(
     The result holds every instance over the universe whose body atoms are
     all present, ordered by rule index and then by join order: extensional
     body atoms first, each taking its matching facts in fact-store order,
-    then intensional ones, whose new bindings follow universe order. Raises
-    :class:`UniverseTooLarge` when a rule's candidate substitution space or
-    an intermediate join exceeds ``max_groundings``.
+    then intensional ones, whose new bindings follow universe order.
+
+    The call counts the bindings it builds over all rules, join steps and
+    re-joins: the empty binding each join starts from, and each extension
+    of a binding by a body atom. Once the count passes
+    :data:`BINDING_BUDGET`, it raises :class:`GroundingTooLarge`.
     """
     shape, predicates = _shape(program)
     plan = _plan(shape)
-    universe = _universe(program, facts)
-    for rule_index, n_vars in enumerate(plan.n_vars):
-        if n_vars and len(universe) ** n_vars > max_groundings:
-            raise UniverseTooLarge(
-                f"rule {rule_index}: {len(universe)}^{n_vars} candidate "
-                f"substitutions exceed the cap of {max_groundings}"
-            )
-    rank = {name: i for i, name in enumerate(universe)}
+    rank = {name: i for i, name in enumerate(_universe(program, facts))}
+    budget = BINDING_BUDGET
+    built = 0
+
+    def too_large(rule_index: int) -> GroundingTooLarge:
+        return GroundingTooLarge(
+            f"rule {rule_index} ({render_rule(program.rules[rule_index])}): "
+            f"grounding passed its budget of {budget} bindings"
+        )
 
     # Present atoms by predicate, keyed by argument names: the facts in
     # fact-store order, then derived heads in derivation order.
@@ -299,9 +299,13 @@ def ground_program(
         return index.get(key, ())
 
     def join(rule_index: int) -> list[GroundRule]:
+        nonlocal built
         rule = program.rules[rule_index]
         # A binding is (bound terms by slot, matched atoms by step).
         bindings: list[tuple[tuple[Term, ...], tuple[Atom, ...]]] = [((), ())]
+        built += 1
+        if built > budget:
+            raise too_large(rule_index)
         for i, p, positions, key_slots, binds, checks, order, sort_new in (
             plan.joins[rule_index]
         ):
@@ -332,13 +336,11 @@ def ground_program(
                     found.sort(key=lambda b: tuple(
                         rank[b[0][n_old + j].name] for j in order
                     ))
+                built += len(found)
+                if built > budget:
+                    raise too_large(rule_index)
                 extended.extend(found)
             bindings = extended
-            if len(bindings) > max_groundings:
-                raise UniverseTooLarge(
-                    f"rule {rule_index}: join produced more than "
-                    f"{max_groundings} bindings"
-                )
             if not bindings:
                 return []
 
@@ -511,12 +513,7 @@ class ReasoningGraph:
         )
 
 
-def build_reasoning_graph(
-    program: Program,
-    facts: FactSet,
-    *,
-    max_groundings: int = 10**7,
-) -> ReasoningGraph:
+def build_reasoning_graph(program: Program, facts: FactSet) -> ReasoningGraph:
     """Ground a program against facts and pack it into a ReasoningGraph.
 
     Atom nodes are deduplicated; every input fact has a node even when no
@@ -524,9 +521,8 @@ def build_reasoning_graph(
     without groundings still own a weight slot, and records whether the
     program defines target/1 even when no target atom is derivable.
     """
-    ground_rules = ground_program(program, facts, max_groundings=max_groundings)
     return ReasoningGraph(
-        ground_rules,
+        ground_program(program, facts),
         facts,
         weights=[r.weight for r in program.rules],
         defines_target=_TARGET in program.intensional_predicates,

@@ -56,6 +56,10 @@ from .grounding import ReasoningGraph
 from .logic import Term
 from .scene import Box, SceneGraph, object_constants, object_positions
 
+# The score range of the random fallback object that stands in when no
+# target clears the threshold.
+FALLBACK_SCORE_RANGE = (0.1, 0.4)
+
 
 class DimensionMismatch(ValueError):
     """A valuation or weight vector does not match the graph's shape."""
@@ -74,15 +78,12 @@ class ReasonerConfig:
         rounds past the depth of a graph's deepest proof change
         nothing.
     target_threshold:  minimum score for an object to count as a target.
-    fallback_score_range:  score range for the random fallback object used
-        when nothing clears the threshold.
     rng_seed:  seed for the fallback draw when no generator is supplied.
     """
 
     gamma: float = 0.01
     steps: int = 2
     target_threshold: float = 0.2
-    fallback_score_range: tuple[float, float] = (0.1, 0.4)
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -95,12 +96,6 @@ class ReasonerConfig:
         if not 0.0 <= self.target_threshold <= 1.0:
             raise ValueError(
                 f"target_threshold must be in [0, 1], got {self.target_threshold}"
-            )
-        low, high = self.fallback_score_range
-        if not 0.0 <= low <= high <= 1.0:
-            raise ValueError(
-                f"fallback_score_range must satisfy 0 <= low <= high <= 1, "
-                f"got {self.fallback_score_range}"
             )
 
 
@@ -377,7 +372,7 @@ def extract_targets(
     descending score order (ties broken by scene order).  When none clears
     the threshold, including when the program defines target/1 but no
     target atom is derivable, a single uniformly random object with a score
-    drawn from ``cfg.fallback_score_range`` stands in, flagged as a
+    drawn from ``FALLBACK_SCORE_RANGE`` stands in, flagged as a
     fallback.  A graph with no target/1 atoms whose program has no target/1
     rule raises :class:`NoTargetAtoms`.
     """
@@ -421,8 +416,7 @@ def extract_targets(
         rng = np.random.default_rng(cfg.rng_seed)
     position = int(rng.integers(len(sg.objects)))
     obj = sg.objects[position]
-    low, high = cfg.fallback_score_range
-    score = float(rng.uniform(low, high))
+    score = float(rng.uniform(*FALLBACK_SCORE_RANGE))
     return [
         TargetPrediction(
             object_constant=object_constants(sg)[obj.object_id],

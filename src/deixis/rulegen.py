@@ -17,7 +17,6 @@ the number of conditions::
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import time
@@ -33,7 +32,7 @@ from .logic import (
     _alpha_key,
     parse_rule,
 )
-from .scene import canon_constant, canon_predicate
+from .scene import canon_constant, canon_predicate, read_json
 
 SYSTEM_PROMPT = """\
 Given a deictic representation and available predicates, generate rules in the format.
@@ -289,8 +288,7 @@ class FixtureClient(ChatClient):
 
     @classmethod
     def load(cls, path: str) -> "FixtureClient":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(path)
         if not isinstance(data, list):
             raise ValueError(f"{path}: fixture file must be a JSON array")
         return cls(data)

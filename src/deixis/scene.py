@@ -42,6 +42,8 @@ __all__ = [
     "SceneRows",
     "DanglingReference",
     "SchemaError",
+    "parse_json",
+    "read_json",
     "OBJECT_CONSTANT",
     "canon_constant",
     "canon_predicate",
@@ -65,6 +67,21 @@ class SchemaError(ValueError):
     def __init__(self, path: str, message: str) -> None:
         self.json_path = path
         super().__init__(f"{path}: {message}")
+
+
+def parse_json(text: str, where: str):
+    """Decode JSON text; a syntax error raises :class:`SchemaError` as
+    ``<where>: not valid JSON: <decoder message>``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(where, f"not valid JSON: {exc}") from exc
+
+
+def read_json(path: str):
+    """Decode a JSON file; a syntax error names the file."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_json(fh.read(), path)
 
 
 def _check_box(x: float, y: float, w: float, h: float) -> None:
@@ -605,8 +622,7 @@ def load_scene_graphs(
     image id is in ``image_ids`` are built and returned, in file order; all
     of them when ``image_ids`` is None.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
+    data = read_json(path)
     if isinstance(data, dict):
         graphs = [_read_scene_graph(data, "$", image_ids)]
     elif isinstance(data, list):

@@ -10,9 +10,11 @@ import pytest
 
 import deixis
 
-from deixis.cli import main
-from deixis.datasets import load_deiclevr, load_deivg
-from deixis.scene import scene_graph_to_dict
+from deixis import grounding
+from deixis.cli import load_config_file, main
+from deixis.datasets import load_deiclevr, load_deivg, load_predictions
+from deixis.rulegen import FixtureClient
+from deixis.scene import SchemaError, load_scene_graphs, scene_graph_to_dict
 from deixis.datasets import random_scene_graphs
 
 
@@ -245,10 +247,9 @@ def test_reason_rejects_non_finite_embeddings(tmp_path, data_dir, capsys, value)
     assert not output.exists()
 
 
-def test_reason_input_too_large_to_ground_exits_2(tmp_path, capsys):
-    # 216 objects, each with a type fact, put 216 constants in the
-    # universe: 216^3 substitutions of a 3-variable rule exceed 10^7.
-    n = 216
+def _on_scene(tmp_path, n: int, pairs) -> Path:
+    """A scene file of ``n`` boxes with an ``on`` relation for each
+    (subject id, object id) pair."""
     scene = {
         "image_id": 1,
         "objects": [
@@ -256,22 +257,54 @@ def test_reason_input_too_large_to_ground_exits_2(tmp_path, capsys):
             for i in range(1, n + 1)
         ],
         "relations": [
-            {"subject_id": i, "predicate": "on", "object_id": i % n + 1}
-            for i in range(1, n + 1)
+            {"subject_id": i, "predicate": "on", "object_id": j}
+            for i, j in pairs
         ],
     }
     graphs = tmp_path / "graphs.json"
     graphs.write_text(json.dumps([scene]))
+    return graphs
+
+
+def _reason_two_hops(tmp_path, graphs: Path, capsys) -> tuple[int, str, str]:
     program = tmp_path / "program.lp"
     program.write_text("target(X):-on(X,Y),on(Y,Z).\n")
     code = main(
         ["reason", "--scene-graphs", str(graphs), "--program", str(program)]
     )
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reason_input_too_large_to_ground_exits_2(tmp_path, capsys, monkeypatch):
+    # A complete "on" over 20 objects has 380 facts, and the 2-hop rule
+    # extends each by 19 more: 7,601 bindings with the empty one, over a
+    # budget of 1,000.
+    n = 20
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    graphs = _on_scene(tmp_path, n, pairs)
+    monkeypatch.setattr(grounding, "BINDING_BUDGET", 1000)
+    code, out, err = _reason_two_hops(tmp_path, graphs, capsys)
     assert code == 2
-    assert capsys.readouterr().err == (
-        "error: rule 0: 216^3 candidate substitutions exceed the cap of "
-        "10000000\n"
+    assert out == ""
+    assert err == (
+        "error: rule 0 (target(X):-on(X,Y),on(Y,Z).): "
+        "grounding passed its budget of 1000 bindings\n"
     )
+
+
+def test_reason_grounds_a_long_chain(tmp_path, capsys):
+    # 216 objects in a ring of "on": 216^3 substitutions of the rule's
+    # variables, but only 216 two-hop paths, each a target.
+    n = 216
+    graphs = _on_scene(tmp_path, n, [(i, i % n + 1) for i in range(1, n + 1)])
+    code, out, _ = _reason_two_hops(tmp_path, graphs, capsys)
+    assert code == 0
+    (result,) = json.loads(out)["results"]
+    predictions = result["predictions"]
+    assert len(predictions) == n
+    assert not any(p["fallback"] for p in predictions)
+    assert sorted(p["object_id"] for p in predictions) == list(range(1, n + 1))
 
 
 def test_reason_with_llm_fixture(data_dir, capsys):
@@ -484,6 +517,20 @@ def test_train_split_too_large_is_input_error(tmp_path, graphs_file, capsys):
     assert "split" in capsys.readouterr().err
 
 
+def test_strict_synth_with_too_few_candidates_exits_2(tmp_path, graphs_file, capsys):
+    code = main(
+        [
+            "synth", "--kind", "deivg", "--k", "1", "--n", "100000",
+            "--strict", "--scene-graphs", str(graphs_file),
+            "--output", str(tmp_path / "data.json"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: requested 100000 instances for k=1 but only ")
+    assert not (tmp_path / "data.json").exists()
+
+
 def _synth_instances(tmp_path, graphs_file, n: int) -> Path:
     data = tmp_path / "data.json"
     assert main(
@@ -644,6 +691,66 @@ def test_bad_schema_is_exit_2(tmp_path, capsys):
     bad.write_text(json.dumps([{"deictic_prompt": "", "answer": []}]))
     code = main(["eval", "--data", str(bad), "--predictions", str(bad)])
     assert code == 2
+
+
+_NOT_JSON = "not valid JSON: Expecting value: line 1 column 1 (char 0)"
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [load_scene_graphs, load_deivg, load_deiclevr, load_predictions,
+     load_config_file, FixtureClient.load],
+    ids=lambda reader: reader.__qualname__,
+)
+def test_json_reader_names_the_file_of_a_syntax_error(tmp_path, reader):
+    bad = tmp_path / "bad.json"
+    bad.write_text("nope")
+    with pytest.raises(SchemaError) as err:
+        reader(str(bad))
+    assert str(err.value) == f"{bad}: {_NOT_JSON}"
+
+
+@pytest.mark.parametrize("flag", ["--scene-graphs", "--predictions"])
+def test_eval_names_which_json_file_is_not_valid(tmp_path, graphs_file, capsys, flag):
+    data = _synth_instances(tmp_path, graphs_file, 4)
+    bad = tmp_path / "bad.json"
+    bad.write_text("nope")
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), flag, str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {_NOT_JSON}\n"
+
+
+def test_reason_names_structured_when_it_is_not_json(data_dir, capsys):
+    code = main(
+        [
+            "reason", "--scene-graphs", str(data_dir / "scene_graphs.json"),
+            "--structured", "nope",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --structured: {_NOT_JSON}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, least",
+    [("--train-n", "0", 1), ("--train-n", "-3", 1), ("--val-n", "0", 1),
+     ("--test-n", "-1", 1), ("--val-every", "-2", 0)],
+)
+def test_train_rejects_bad_split_flags(tmp_path, graphs_file, capsys, flag, value, least):
+    data = _synth_instances(tmp_path, graphs_file, 8)
+    capsys.readouterr()
+    code = main(
+        [
+            "train", "--data", str(data), "--scene-graphs", str(graphs_file),
+            "--out-dir", str(tmp_path / "run"), "--steps", "1",
+            "--train-n", "4", "--val-n", "2", "--test-n", "2", flag, value,
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} must be at least {least}, got {value}\n"
+    )
+    assert not (tmp_path / "run").exists()
 
 
 def test_offline_pipeline_touches_no_sockets(

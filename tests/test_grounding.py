@@ -1,13 +1,15 @@
 """Grounding: universe restriction, joins, and the reasoning graph."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deixis import grounding
 from deixis.grounding import (
-    UniverseTooLarge,
+    GroundingTooLarge,
     _plan,
     _shape,
     build_reasoning_graph,
@@ -127,13 +129,18 @@ def test_bodiless_ground_rule_allowed():
     assert str(bodiless[0].head) == "seed(obj1)"
 
 
-def test_universe_cap_enforced():
+def test_binding_budget_enforced(monkeypatch):
     program = parse_program("mark(X):-link(X,Y),link(Y,Z),link(Z,W).")
     facts = FactSet(
         [atom("link", f"obj{i}", f"obj{j}") for i in range(9) for j in range(9)]
     )
-    with pytest.raises(UniverseTooLarge):
-        ground_program(program, facts, max_groundings=100)
+    monkeypatch.setattr(grounding, "BINDING_BUDGET", 100)
+    with pytest.raises(GroundingTooLarge) as err:
+        ground_program(program, facts)
+    assert str(err.value) == (
+        "rule 0 (mark(X):-link(X,Y),link(Y,Z),link(Z,W).): "
+        "grounding passed its budget of 100 bindings"
+    )
 
 
 def test_reasoning_graph_layout():
@@ -261,6 +268,51 @@ def test_ground_program_matches_reference_grounder(case):
     assert len(got) == len(set(got))
     assert set(got) == oracle_ground(program, facts)
     assert [i for i, _, _ in got] == sorted(i for i, _, _ in got)
+
+
+def _ground_within(program, facts, budget):
+    """The instances grounding builds under ``budget`` bindings, as a set,
+    or None when it raises GroundingTooLarge."""
+    with mock.patch.object(grounding, "BINDING_BUDGET", budget):
+        try:
+            got = ground_program(program, facts)
+        except GroundingTooLarge:
+            return None
+    return {(g.rule_index, g.head, g.body) for g in got}
+
+
+def test_budget_counts_the_bindings_of_every_re_join():
+    # Each join of a rule counts its empty binding, one per link, and one
+    # per path that extends a link. Rounds 1-4 of the recursive stratum
+    # build 4 + 4, 4 + 6, 4 + 7 and 4 + 7 bindings: 40 in all.
+    program = parse_program(
+        "path(X,Y):-link(X,Y).\n"
+        "path(X,Z):-link(X,Y),path(Y,Z).\n"
+    )
+    facts = FactSet(
+        [atom("link", f"obj{i}", f"obj{i + 1}") for i in range(1, 4)]
+    )
+    assert _ground_within(program, facts, 39) is None
+    assert _ground_within(program, facts, 40) == oracle_ground(program, facts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs_and_facts(), st.integers(0, 40), st.integers(0, 40))
+def test_binding_budget_bounds_grounding(case, low, extra):
+    """Under any budget, grounding either equals the reference grounder
+    or raises; it raises whenever the budget is below the number of
+    instances, and a budget that suffices keeps sufficing when raised."""
+    program, facts = case
+    expected = oracle_ground(program, facts)
+    budgets = (low, low + extra)
+    outcomes = [_ground_within(program, facts, budget) for budget in budgets]
+    for budget, got in zip(budgets, outcomes):
+        if got is not None:
+            assert got == expected
+        if budget < len(expected):
+            assert got is None
+    if outcomes[0] is not None:
+        assert outcomes[1] is not None
 
 
 @settings(max_examples=150, deadline=None)
