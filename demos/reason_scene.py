@@ -18,7 +18,7 @@ from deixis import (
     build_reasoning_graph,
     extract_targets,
     forward,
-    grounding_universe,
+    ground_program,
     parse_program,
     scene_graph_to_facts,
 )
@@ -52,10 +52,10 @@ def main() -> None:
     for fact, value in zip(facts, values):
         print(f"  {fact}  = {value:.1f}")
 
-    # The facts record the argument names of the whole scene, so grounding
-    # binds variables exactly as it would over every fact.
-    universe = grounding_universe(program, facts)
-    print("grounding universe:", " ".join(t.name for t in universe))
+    # Variables bind only to constants the facts hold where the body reads
+    # them, so grounding the cut facts builds the same rule instances as
+    # grounding every fact of the scene.
+    print("ground rules:", len(ground_program(program, facts)))
     graph = build_reasoning_graph(program, facts)
     print(f"\n{graph!r}")
 

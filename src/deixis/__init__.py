@@ -40,7 +40,6 @@ from .grounding import (
     ReasoningGraph,
     build_reasoning_graph,
     ground_program,
-    grounding_universe,
 )
 from .reasoner import (
     DimensionMismatch,
@@ -126,7 +125,7 @@ __all__ = [
     "load_scene_graphs", "parse_scene_graph", "scene_graph_to_facts",
     # grounding
     "GroundRule", "GroundingTooLarge", "ReasoningGraph",
-    "build_reasoning_graph", "ground_program", "grounding_universe",
+    "build_reasoning_graph", "ground_program",
     # reasoner
     "DimensionMismatch", "NoTargetAtoms", "ReasonerConfig", "TargetPrediction",
     "backward", "extract_targets", "forward", "softor",

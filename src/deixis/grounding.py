@@ -1,23 +1,14 @@
 """Rule grounding over scene constants and reasoning-graph construction.
 
-The grounding universe holds the constants that denote objects, in
-first-seen order: the constants in first argument position, then the
-object-like constants (``obj<N>``/``sgg<N>``) elsewhere in the facts and in
-the program. It is the active domain of the facts (Abiteboul, Hull and
-Vianu, *Foundations of Databases*, 1995), read first from the argument
-names a fact set records of the full facts it was cut from
-(:class:`logic.FactSet`), then from its own facts. Facts cut down to what
-the program reads therefore ground over the same universe as the full
-facts. Attribute constants inside rules (``boat``, ``cyan``) are never
-substituted.
-
-Grounding is bottom-up evaluation over atom presence (the same book, the
-chapter on Datalog evaluation): the input facts are present whatever their
-values, and a rule instance is built only when every body atom is a fact or
-the head of an instance built before it. Instances that could never fire,
-and the atoms only they mention, never enter the graph, so the reasoner
-gives no score to an atom without a derivation. Facts keep their nodes even
-at value 0, so gradients reach every fact.
+Grounding is bottom-up evaluation over atom presence (Abiteboul, Hull and
+Vianu, *Foundations of Databases*, 1995, the chapter on Datalog
+evaluation): the input facts are present whatever their values, and a rule
+instance is built only when every body atom is a fact or the head of an
+instance built before it. A variable binds to whatever constant a present
+atom holds at its position, attribute constants included. Instances that
+could never fire, and the atoms only they mention, never enter the graph,
+so the reasoner gives no score to an atom without a derivation. Facts keep
+their nodes even at value 0, so gradients reach every fact.
 
 What grounding does with a program depends only on its shape: the
 predicates numbered by first appearance, the variable names, and where the
@@ -31,19 +22,18 @@ joins.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .logic import Atom, FactSet, Predicate, Program, Term, render_rule
-from .scene import _object_like
 
 __all__ = [
     "GroundRule",
     "ReasoningGraph",
     "GroundingTooLarge",
-    "grounding_universe",
     "ground_program",
     "build_reasoning_graph",
 ]
@@ -64,29 +54,6 @@ class GroundRule:
     head: Atom
     body: tuple[Atom, ...]
     rule_index: int
-
-
-def _universe(program: Program, facts: FactSet) -> tuple[str, ...]:
-    """The names of :func:`grounding_universe`."""
-    seen = dict.fromkeys(facts.leads)
-    seen.update(dict.fromkeys(fact.args[0].name for fact in facts))
-    for names in (facts.later, (t.name for fact in facts for t in fact.args[1:])):
-        seen.update((name, None) for name in names if _object_like(name))
-    for rule in program.rules:
-        for a in (rule.head, *rule.body):
-            for t in a.args:
-                if t.is_constant and _object_like(t.name):
-                    seen.setdefault(t.name)
-    return tuple(seen)
-
-
-def grounding_universe(program: Program, facts: FactSet) -> tuple[Term, ...]:
-    """Constants eligible for variable substitution, in first-seen order:
-    the first arguments of the facts, then their other object-like
-    arguments, then the object-like constants of the program. The names a
-    fact set records of the full facts it was cut from come before its own
-    at each step."""
-    return tuple(Term(name) for name in _universe(program, facts))
 
 
 def _shape(program: Program) -> tuple[tuple, tuple[Predicate, ...]]:
@@ -115,17 +82,14 @@ class _Plan:
     with a flag that says whether the component is recursive (Tarjan's
     algorithm). ``joins`` gives each rule's body atoms in join order,
     extensional ones first, as steps ``(body index, predicate number,
-    positions, key, binds, checks, order, sort_new)``:
+    positions, key, binds, checks)``:
 
     - ``positions`` are the bound argument positions, and ``key`` gives
       for each either the slot of an already-bound variable or None for a
       constant, read from the program at that position;
     - ``binds`` are the (position, slot) pairs whose variables the atom
       binds first, and ``checks`` (position, earlier position) pairs for a
-      variable repeated inside the atom;
-    - ``order`` lists indices into ``binds`` sorted by variable name, and
-      ``sort_new`` says whether new bindings are sorted that way (an
-      intensional atom that binds a variable).
+      variable repeated inside the atom.
 
     ``head_slots`` gives each rule's head arguments as slots, None for a
     constant, and ``body_at`` each body atom's place in join order.
@@ -163,12 +127,9 @@ class _Plan:
                 for name, pos in first.items():
                     slots[name] = len(slots)
                     binds.append((pos, slots[name]))
-                names = list(first)
                 steps.append((
                     i, p, tuple(positions), tuple(key), tuple(binds),
                     tuple(checks),
-                    tuple(sorted(range(len(names)), key=names.__getitem__)),
-                    p in intensional and len(binds) > 0,
                 ))
             joins.append(tuple(steps))
             head_slots.append(
@@ -247,22 +208,37 @@ def ground_program(program: Program, facts: FactSet) -> list[GroundRule]:
     a recursive one re-joins until no new head appears. The strata and
     join orders come from the plan cached for the program's shape. Each
     body atom joins, through a hash index on its bound argument positions,
-    against the facts plus the heads derived so far, binding variables only
-    to constants of :func:`grounding_universe`.
+    against the facts plus the heads derived so far, and binds its new
+    variables to the constants the matching atom holds.
 
-    The result holds every instance over the universe whose body atoms are
-    all present, ordered by rule index and then by join order: extensional
-    body atoms first, each taking its matching facts in fact-store order,
-    then intensional ones, whose new bindings follow universe order.
+    The result holds every instance whose body atoms are all present,
+    ordered by rule index and then by join order: extensional body atoms
+    first, then intensional ones, each taking its matches in store order
+    (the facts in fact-store order, then derived heads in derivation
+    order).
 
     The call counts the bindings it builds over all rules, join steps and
     re-joins: the empty binding each join starts from, and each extension
     of a binding by a body atom. Once the count passes
     :data:`BINDING_BUDGET`, it raises :class:`GroundingTooLarge`.
+
+    The cyclic garbage collector is paused for the call. Grounding builds
+    up to millions of tuples and no reference cycles, and each collection
+    would traverse every tuple still alive.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _ground(program, facts)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _ground(program: Program, facts: FactSet) -> list[GroundRule]:
+    """The body of :func:`ground_program`, run with the collector paused."""
     shape, predicates = _shape(program)
     plan = _plan(shape)
-    rank = {name: i for i, name in enumerate(_universe(program, facts))}
     budget = BINDING_BUDGET
     built = 0
 
@@ -306,9 +282,7 @@ def ground_program(program: Program, facts: FactSet) -> list[GroundRule]:
         built += 1
         if built > budget:
             raise too_large(rule_index)
-        for i, p, positions, key_slots, binds, checks, order, sort_new in (
-            plan.joins[rule_index]
-        ):
+        for i, p, positions, key_slots, binds, checks in plan.joins[rule_index]:
             predicate = predicates[p]
             args_i = rule.body[i].args
             # The constants of this program fill the key's blanks.
@@ -321,25 +295,17 @@ def ground_program(program: Program, facts: FactSet) -> list[GroundRule]:
                 key = tuple(
                     k if k.__class__ is str else terms[k].name for k in key_spec
                 )
-                found = []
+                before = len(extended)
                 for a in candidates(predicate, positions, key):
                     args = a.args
                     if any(args[q].name != args[r].name for q, r in checks):
                         continue
-                    new = tuple(args[q] for q, _ in binds)
-                    if all(t.name in rank for t in new):
-                        found.append((terms + new, matched + (a,)))
-                if sort_new and len(found) > 1:
-                    # Same order as enumerating the new variables, sorted by
-                    # name, over the universe.
-                    n_old = len(terms)
-                    found.sort(key=lambda b: tuple(
-                        rank[b[0][n_old + j].name] for j in order
-                    ))
-                built += len(found)
+                    extended.append(
+                        (terms + tuple(args[q] for q, _ in binds), matched + (a,))
+                    )
+                built += len(extended) - before
                 if built > budget:
                     raise too_large(rule_index)
-                extended.extend(found)
             bindings = extended
             if not bindings:
                 return []
@@ -484,27 +450,6 @@ class ReasoningGraph:
         # The group, an index into updated_atoms, of each grouped
         # conjunction.
         self.group_of = np.array(group_of, dtype=np.int64)
-
-    def to_debug_dict(self) -> dict:
-        """Structured dump of nodes and edges for inspection."""
-        return {
-            "atoms": [str(a) for a in self.atoms],
-            "n_facts": self.n_facts,
-            "conjunctions": [
-                {
-                    "head": int(self.conj_head[i]),
-                    "body": [
-                        int(b)
-                        for b in self.body_atoms[
-                            self.body_starts[i] : self.body_starts[i]
-                            + self.body_counts[i]
-                        ]
-                    ],
-                    "rule_index": int(self.conj_rule[i]),
-                }
-                for i in range(self.n_conj)
-            ],
-        }
 
     def __repr__(self) -> str:
         return (

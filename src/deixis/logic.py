@@ -207,41 +207,25 @@ class FactSet:
 
     Positions are stable and form a bijection onto ``range(len(self))``;
     valuation vectors are aligned with this order.
-
-    A fact set cut down from a larger one also records the argument names
-    of the facts it was cut from, each in first-seen order: ``leads``, the
-    names in first argument position, and ``later``, those in other
-    positions (grounding reads only the object-like ones there, so the
-    others may be left out). Whoever cuts the set sets them; they are empty
-    otherwise. Grounding reads them ahead of the set's own names, so a cut
-    set grounds over the same constants as the full one. They are not part
-    of ``==``, which compares the facts alone.
     """
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         self._atoms: list[Atom] = []
         self._index: dict[Atom, int] = {}
-        self.leads: tuple[str, ...] = ()
-        self.later: tuple[str, ...] = ()
         for a in atoms:
             self.add(a)
 
     @classmethod
     def pool(cls, parts: Iterable["FactSet"]) -> "FactSet":
         """The facts of ``parts`` in order, a repeat keeping its first
-        position, with their recorded names concatenated. The parts' facts
-        are known to be ground, so they are not checked again."""
+        position. The parts' facts are known to be ground, so they are not
+        checked again."""
         pooled = cls()
         atoms, index = pooled._atoms, pooled._index
-        leads: list[str] = []
-        later: list[str] = []
         for part in parts:
             for a in part._atoms:
                 if index.setdefault(a, len(atoms)) == len(atoms):
                     atoms.append(a)
-            leads.extend(part.leads)
-            later.extend(part.later)
-        pooled.leads, pooled.later = tuple(leads), tuple(later)
         return pooled
 
     def add(self, a: Atom) -> int:

@@ -5,7 +5,7 @@ relation ``(s, e, o)`` becomes a binary fact ``e(obj_s, obj_o)`` and each
 object name becomes a fact ``type(obj_i, name)`` over the canonicalized
 name.
 
-One canonical pass per scene graph (:class:`SceneRows`, kept on the graph)
+One canonical pass per scene graph (:func:`scene_rows`, kept on the graph)
 turns it into plain rows ``(predicate, argument names, value)`` in fact
 order, without building a term or an atom. Two things are read off the
 rows:
@@ -13,10 +13,10 @@ rows:
 - the facts: :func:`scene_graph_to_facts` given a program builds atoms only
   for the rows that one of its body atoms can read. This is magic sets
   applied to the fact side (Bancilhon, Maier, Sagiv and Ullman, PODS 1986;
-  Beeri and Ramakrishnan, J. Logic Programming 1991). The fact set records
-  the argument names of all the rows, so grounding binds variables to the
-  same constants, in the same order, as over the full facts: cutting the
-  facts leaves the active domain as it was;
+  Beeri and Ramakrishnan, J. Logic Programming 1991). Grounding binds
+  variables only to constants of atoms a body atom matches, and the cut
+  keeps those atoms in their order, so the program grounds as over the
+  full facts;
 - the unifier's vocabularies (``unify.scene_vocabularies``).
 """
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -39,12 +38,10 @@ __all__ = [
     "SceneObject",
     "SceneRelation",
     "SceneGraph",
-    "SceneRows",
     "DanglingReference",
     "SchemaError",
     "parse_json",
     "read_json",
-    "OBJECT_CONSTANT",
     "canon_constant",
     "canon_predicate",
     "object_constants",
@@ -226,10 +223,6 @@ def canon_predicate(name: str) -> str:
     return "".join(c for c in joined if c.isalnum() or c == "_")
 
 
-# Names of object constants: ``obj<N>`` from scene graphs, ``sgg<N>`` for
-# the per-source objects of a scene-graph mixture.
-OBJECT_CONSTANT = re.compile(r"^(?:obj|sgg)\d+$")
-
 # Each distinct raw name is canonicalised once, and each distinct constant
 # or predicate is validated once; terms and predicates are immutable, so
 # facts share them.
@@ -237,11 +230,6 @@ _canon_constant = lru_cache(maxsize=1 << 16)(canon_constant)
 _canon_predicate = lru_cache(maxsize=1 << 16)(canon_predicate)
 _term = lru_cache(maxsize=1 << 16)(Term)
 _predicate = lru_cache(maxsize=1 << 12)(Predicate)
-
-
-@lru_cache(maxsize=1 << 16)
-def _object_like(name: str) -> bool:
-    return OBJECT_CONSTANT.match(name) is not None
 
 
 def object_constants(sg: SceneGraph) -> dict[int, Term]:
@@ -269,71 +257,39 @@ def tagged_predicate(name: str) -> str:
     return name if name.endswith("Sgg") else f"{name}Sgg"
 
 
-class SceneRows:
-    """The facts of one scene graph as plain rows, from one canonical pass.
+def scene_rows(sg: SceneGraph) -> tuple[tuple[str, tuple[str, str], float], ...]:
+    """The facts of ``sg`` as plain rows from one canonical pass, built on
+    first use and kept on ``sg``.
 
-    ``rows`` holds ``(predicate, (subject, object), value)`` in fact order:
+    Each row is ``(predicate, (subject, object), value)``, in fact order:
     the relations in listing order, then one ``type`` row per object name.
     A duplicate row keeps its first position and its maximum value, and a
-    name that canonicalises to nothing gives no row. Read off the rows:
-
-    ``leads``: the first arguments, in first-seen order;
-    ``later``: the object-like second arguments (``obj<N>``/``sgg<N>``, e.g.
-    an object named "Obj 5"), in first-seen order;
-    ``tag_at``: where a source tag first appears in ``later`` once every row
-    carries it as a trailing argument (after the first row's second
-    argument when that one is object-like);
-    ``predicates``: the predicate names;
-    ``attributes``: the second arguments that are not object-like.
+    name that canonicalises to nothing gives no row.
     """
-
-    __slots__ = ("rows", "leads", "later", "tag_at", "predicates", "attributes")
-
-    def __init__(self, sg: SceneGraph) -> None:
-        consts = {o.object_id: f"obj{i}" for i, o in enumerate(sg.objects, start=1)}
-        # (predicate, args) -> value; a repeat keeps its position and the
-        # larger value (values lie in [0, 1]).
-        values: dict[tuple[str, tuple[str, str]], float] = {}
-        later: dict[str, None] = {}
-        attributes: set[str] = set()
-        predicates: set[str] = set()
-        for rel in sg.relations:
-            name = _canon_predicate(rel.predicate)
-            if name:
-                second = consts[rel.object_id]
-                key = (name, (consts[rel.subject_id], second))
-                value = float(rel.confidence)
-                if values.get(key, -1.0) < value:
-                    values[key] = value
-                later[second] = None
-                predicates.add(name)
-        for o in sg.objects:
-            subject = consts[o.object_id]
-            for raw in o.names:
-                name = _canon_constant(raw)
-                if name:
-                    key = ("type", (subject, name))
-                    if values.get(key, -1.0) < 1.0:
-                        values[key] = 1.0
-                    if _object_like(name):
-                        later[name] = None
-                    else:
-                        attributes.add(name)
-                    predicates.add("type")
-        self.rows = tuple((name, args, v) for (name, args), v in values.items())
-        self.leads = tuple(dict.fromkeys(args[0] for _, args, _ in self.rows))
-        self.later = tuple(later)
-        self.tag_at = int(bool(self.rows) and _object_like(self.rows[0][1][1]))
-        self.predicates = frozenset(predicates)
-        self.attributes = frozenset(attributes)
-
-
-def scene_rows(sg: SceneGraph) -> SceneRows:
-    """The canonical rows of ``sg``, built on first use and kept on it."""
     rows = sg.__dict__.get("_rows")
-    if rows is None:
-        rows = SceneRows(sg)
-        object.__setattr__(sg, "_rows", rows)
+    if rows is not None:
+        return rows
+    consts = {o.object_id: f"obj{i}" for i, o in enumerate(sg.objects, start=1)}
+    # (predicate, args) -> value; a repeat keeps its position and the
+    # larger value (values lie in [0, 1]).
+    values: dict[tuple[str, tuple[str, str]], float] = {}
+    for rel in sg.relations:
+        name = _canon_predicate(rel.predicate)
+        if name:
+            key = (name, (consts[rel.subject_id], consts[rel.object_id]))
+            value = float(rel.confidence)
+            if values.get(key, -1.0) < value:
+                values[key] = value
+    for o in sg.objects:
+        subject = consts[o.object_id]
+        for raw in o.names:
+            name = _canon_constant(raw)
+            if name:
+                key = ("type", (subject, name))
+                if values.get(key, -1.0) < 1.0:
+                    values[key] = 1.0
+    rows = tuple((name, args, v) for (name, args), v in values.items())
+    object.__setattr__(sg, "_rows", rows)
     return rows
 
 
@@ -377,20 +333,14 @@ def scene_graph_to_facts(
     read are built: same predicate and arity, and the atom's constants at
     their positions (``type(Y,umbrella)`` reads only umbrella type facts).
     They keep their relative order and values. Grounding reads nothing
-    else, and the fact set records the argument names of every row (see
-    :class:`logic.FactSet`), so the program grounds to the same rule
-    instances as over the full facts.
+    else, so the program grounds to the same rule instances, in the same
+    order, as over the full facts.
     """
-    rows = scene_rows(sg)
-    later = rows.later
-    if tag is not None and rows.rows:
-        later = (*later[: rows.tag_at], tag, *later[rows.tag_at :])
     # Every row has two arguments, three with a tag.
     demand = None if program is None else _demand(program, 2 + (tag is not None))
     facts = FactSet()
-    facts.leads, facts.later = rows.leads, later
     values: list[float] = []
-    for name, args, value in rows.rows:
+    for name, args, value in scene_rows(sg):
         if tag is not None:
             name, args = tagged_predicate(name), (*args, tag)
         if demand is not None:

@@ -269,8 +269,8 @@ def mixture_facts(
 
     With a ``program`` (the specialized program plus its merge rules), only
     the tagged facts that one of its body atoms can read are built, as in
-    :func:`scene.scene_graph_to_facts`. The pooled set carries the names
-    each source records, so it grounds like the full pooled facts.
+    :func:`scene.scene_graph_to_facts`; the pooled set grounds like the
+    full pooled facts.
     """
     graphs = _source_graphs(sources, scene_graphs)
     parts = [

@@ -16,12 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .logic import Atom, Predicate, Program, Rule, Term
-from .scene import OBJECT_CONSTANT, SceneGraph, canon_constant, scene_rows
+from .scene import SceneGraph, canon_constant, scene_rows
 
 # Symbols with structural meaning are never rewritten: the rule scaffold
 # (target, condN), the typing predicate, positional helpers, and anything
 # carrying a scene-graph tag.
 _STRUCTURAL = re.compile(r"^(target|targetSgg|cond\d+|type|typeSgg|pos\d+)$")
+
+# Object constants are never rewritten either: ``obj<N>`` from scene graphs
+# and ``sgg<N>`` for the per-source objects of a scene-graph mixture.
+_OBJECT_CONSTANT = re.compile(r"^(?:obj|sgg)\d+$")
 
 
 class MissingEmbedding(KeyError):
@@ -179,10 +183,14 @@ def scene_vocabularies(sg: SceneGraph) -> tuple[frozenset[str], frozenset[str]]:
     argument after the first that is not an object constant."""
     rows = scene_rows(sg)
     relations = frozenset(
-        name for name in rows.predicates
+        name for name in {name for name, _, _ in rows}
         if not _STRUCTURAL.match(name) and not name.endswith("Sgg")
     )
-    return relations, rows.attributes
+    attributes = frozenset(
+        name for name in {args[1] for _, args, _ in rows}
+        if not _OBJECT_CONSTANT.match(name)
+    )
+    return relations, attributes
 
 
 def unify_program(
@@ -253,7 +261,7 @@ def unify_program(
         for arg in atom_.args:
             if (
                 arg.is_variable
-                or OBJECT_CONSTANT.match(arg.name)
+                or _OBJECT_CONSTANT.match(arg.name)
                 or arg.name in attribute_vocab
             ):
                 args.append(arg)

@@ -21,40 +21,15 @@ _STRUCTURAL = re.compile(r"^(target|targetSgg|cond\d+|type|typeSgg|pos\d+)$")
 
 
 def oracle_universe(program, facts) -> list[str]:
-    """Bindable constants: first args of facts, plus object-pattern
-    constants anywhere in facts or the program."""
+    """Every constant of the facts and the program: a range-restricted
+    rule's variables bind to no other."""
     names = set()
     for fact in facts:
-        if fact.args:
-            names.add(fact.args[0].name)
-        for term in fact.args[1:]:
-            if _OBJECT.match(term.name):
-                names.add(term.name)
+        names.update(term.name for term in fact.args)
     for rule in program.rules:
         for a in (rule.head, *rule.body):
-            for term in a.args:
-                if not term.is_variable and _OBJECT.match(term.name):
-                    names.add(term.name)
+            names.update(term.name for term in a.args if not term.is_variable)
     return sorted(names)
-
-
-def reference_universe(program, facts) -> tuple[str, ...]:
-    """The grounding universe derived from a full fact set, in first-seen
-    order: constants in first argument position, then object-pattern
-    constants elsewhere in the facts, then those of the program."""
-    seen = {}
-    for fact in facts:
-        seen.setdefault(fact.args[0].name, None)
-    for fact in facts:
-        for term in fact.args[1:]:
-            if _OBJECT.match(term.name):
-                seen.setdefault(term.name, None)
-    for rule in program.rules:
-        for a in (rule.head, *rule.body):
-            for term in a.args:
-                if not term.is_variable and _OBJECT.match(term.name):
-                    seen.setdefault(term.name, None)
-    return tuple(seen)
 
 
 def reference_vocabularies(facts) -> tuple[set, set]:
@@ -81,7 +56,7 @@ def boolean_rounds(program, true_facts, rounds: int) -> set:
     """T rounds of naive boolean forward chaining.
 
     Each round applies every rule against the set from the previous round,
-    binding variables over the restricted universe only.
+    binding variables over every constant of the facts and the program.
     """
     universe = oracle_universe(program, true_facts)
     from deixis.logic import Term
@@ -106,8 +81,7 @@ def boolean_rounds(program, true_facts, rounds: int) -> set:
 
 def boolean_closure(program, facts) -> set:
     """Every atom derivable from the facts, all taken as true: naive
-    boolean forward chaining run until a round adds nothing. The universe
-    stays the one of the facts, so the rounds restart from them."""
+    boolean forward chaining run until a round adds nothing."""
     known = set(facts)
     rounds = 1
     while True:
@@ -121,9 +95,9 @@ def boolean_closure(program, facts) -> set:
 def oracle_ground(program, facts) -> set:
     """The rule instances that can fire, as (rule_index, head, body).
 
-    Enumerates every substitution of each rule's variables over the
-    restricted universe and keeps the instances whose body atoms all lie
-    in the boolean closure of the facts.
+    Enumerates every substitution of each rule's variables over every
+    constant of the facts and the program and keeps the instances whose
+    body atoms all lie in the boolean closure of the facts.
     """
     universe = oracle_universe(program, list(facts))
     from deixis.logic import Term

@@ -1,22 +1,17 @@
-"""Demand-driven facts: building only the facts a program can read, with the
-universe taken from the argument names the cut facts record and the
-vocabularies read off the scene, changes no prediction.
+"""Demand-driven facts: building only the facts a program can read, with
+the vocabularies read off the scene, changes neither the rule instances
+grounding builds, nor their order, nor any prediction.
 
-The references in ``oracles`` derive the universe and the vocabularies
-from the full fact set, as the pipeline did before it cut the facts down.
+The reference vocabularies in ``oracles`` are derived from the full fact
+set, as the pipeline did before it cut the facts down.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from deixis.grounding import (
-    build_reasoning_graph,
-    ground_program,
-    grounding_universe,
-)
+from deixis.grounding import build_reasoning_graph, ground_program
 from deixis.logic import (
     Atom,
-    FactSet,
     Predicate,
     Program,
     Rule,
@@ -34,7 +29,7 @@ from deixis.scene import (
 from deixis.training import make_merge_rules, mixture_facts, specialize_program
 from deixis.unify import EmbeddingStore, scene_vocabularies, unify_program
 
-from oracles import reference_universe, reference_vocabularies
+from oracles import reference_vocabularies
 
 # Raw names, including ones that canonicalise to object constants
 # ("Obj 3" -> obj3), to structural words, or to nothing.
@@ -161,10 +156,6 @@ CONFIG = st.builds(
 )
 
 
-def _names(universe):
-    return tuple(t.name for t in universe)
-
-
 def _outcome(graph, values, sg, cfg):
     """Ground instances and (object, score, box, fallback) predictions."""
     v = forward(graph, values, graph.weights, cfg)
@@ -194,12 +185,8 @@ def _demand_and_full(sg, program, cfg):
     facts, values = scene_graph_to_facts(sg, program)
     demand = build_reasoning_graph(program, facts)
     full_facts, full_values = scene_graph_to_facts(sg)
-    # A copy records no names: its universe comes from its own facts.
-    full = build_reasoning_graph(program, FactSet(full_facts))
+    full = build_reasoning_graph(program, full_facts)
     assert len(facts) <= len(full_facts)
-    assert _names(grounding_universe(program, facts)) == reference_universe(
-        program, full_facts
-    )
     return (
         _outcome(demand, values, sg, cfg),
         _outcome(full, full_values, sg, cfg),
@@ -213,19 +200,30 @@ def test_demand_driven_predictions_equal_full_fact_predictions(sg, program, cfg)
     assert demand == full
 
 
-@settings(max_examples=200, deadline=None)
-@given(scene_graphs(), programs())
-def test_cut_fact_universe_equals_the_full_fact_universe(sg, program):
-    full_facts, _ = scene_graph_to_facts(sg)
-    expected = reference_universe(program, full_facts)
-    facts, _ = scene_graph_to_facts(sg, program)
-    for fact_set in (facts, full_facts, FactSet(full_facts)):
-        assert _names(grounding_universe(program, fact_set)) == expected
+@settings(max_examples=400, deadline=None)
+@given(scene_graphs(), scene_graphs(), programs(), st.booleans())
+def test_cut_facts_ground_in_the_order_of_the_full_facts(
+    first, second, program, mixed
+):
+    """Grounding the cut facts builds the full facts' rule instances in the
+    same order, for one scene and for a two-source mixture."""
+    if mixed:
+        graphs = {"ground_truth": first, "corrupted": second}
+        program = Program(
+            specialize_program(program).rules + make_merge_rules(len(graphs))
+        )
+        full_facts, _ = mixture_facts(tuple(graphs), graphs)
+        facts, _ = mixture_facts(tuple(graphs), graphs, program)
+    else:
+        full_facts, _ = scene_graph_to_facts(first)
+        facts, _ = scene_graph_to_facts(first, program)
+    assert ground_program(program, facts) == ground_program(program, full_facts)
 
 
 def test_cut_facts_ground_like_the_full_facts():
-    # Cut to its on facts, this scene lists obj2 first; the full facts list
-    # obj1 first, which sets the order of the intensional join.
+    # Cut to its on facts, this scene drops near(obj1,obj2), the only fact
+    # before on(obj2,obj1). Both fact sets derive cond1(obj2) before
+    # cond1(obj1), in on's fact order, and target's join follows it.
     sg = SceneGraph(
         1,
         (
@@ -243,9 +241,9 @@ def test_cut_facts_ground_like_the_full_facts():
     full_facts, _ = scene_graph_to_facts(sg)
     assert [str(f) for f in facts] == ["on(obj2,obj1)", "on(obj1,obj2)"]
     cut = ground_program(program, facts)
-    assert cut == ground_program(program, FactSet(full_facts))
+    assert cut == ground_program(program, full_facts)
     assert [str(g.head) for g in cut if g.rule_index == 1] == [
-        "target(obj1)", "target(obj2)",
+        "target(obj2)", "target(obj1)",
     ]
 
 
@@ -291,13 +289,9 @@ def test_mixture_demand_matches_full_facts(first, second, program, cfg):
     )
     full_facts, full_values = mixture_facts(sources, graphs)
     facts, values = mixture_facts(sources, graphs, combined)
-    expected = reference_universe(combined, full_facts)
-    for fact_set in (facts, full_facts, FactSet(full_facts)):
-        assert _names(grounding_universe(combined, fact_set)) == expected
-
     assert set(facts) <= set(full_facts)
     demand = build_reasoning_graph(combined, facts)
-    full = build_reasoning_graph(combined, FactSet(full_facts))
+    full = build_reasoning_graph(combined, full_facts)
     assert _outcome(demand, values, first, cfg) == _outcome(
         full, full_values, first, cfg
     )
@@ -325,8 +319,4 @@ def test_demand_keeps_only_readable_facts():
     facts, values = scene_graph_to_facts(sg, program)
     assert [str(f) for f in facts] == ["holding(obj1,obj2)", "type(obj2,umbrella)"]
     assert values.tolist() == [0.75, 1.0]
-    # First arguments, then object-like names elsewhere: obj3 only ever
-    # comes second, and obj7 is the name "Obj 7".
-    universe = grounding_universe(program, facts)
-    assert [t.name for t in universe] == ["obj1", "obj2", "obj3", "obj7"]
     assert len(ground_program(program, facts)) == 2

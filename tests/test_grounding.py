@@ -1,6 +1,7 @@
-"""Grounding: universe restriction, joins, and the reasoning graph."""
+"""Grounding: joins in store order, the binding budget, and the reasoning
+graph."""
 
-import json
+import gc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,6 @@ from deixis.grounding import (
     _shape,
     build_reasoning_graph,
     ground_program,
-    grounding_universe,
 )
 from deixis.logic import Atom, FactSet, Predicate, Program, Rule, Term, atom, parse_program
 from deixis.reasoner import ReasonerConfig, forward
@@ -40,25 +40,17 @@ def boat_scene_facts() -> FactSet:
     )
 
 
-def test_universe_contents():
-    program = parse_program(PROGRAM_1)
-    universe = {t.name for t in grounding_universe(program, boat_scene_facts())}
-    # First-argument constants plus object-pattern constants; attribute
-    # constants like "boat" are never bindable.
-    assert universe == {"obj1", "obj2", "obj3"}
-
-
-def test_universe_picks_object_constants_from_program():
-    program = parse_program("target(X):-on(X,obj9).")
-    universe = {t.name for t in grounding_universe(program, FactSet())}
-    assert universe == {"obj9"}
-
-
-def test_variables_never_bind_attribute_constants():
-    # X in the body could only bind to "boat", which is not in the universe.
-    program = parse_program("mark(X):-type(obj1,X).")
-    facts = FactSet([atom("type", "obj1", "boat")])
-    assert ground_program(program, facts) == []
+def test_variables_bind_attribute_constants():
+    # C binds to the attribute each type fact holds, as any constant.
+    program = parse_program("same(X,Y):-type(X,C),type(Y,C).\nmark(X):-type(obj1,X).")
+    facts = FactSet(
+        [atom("type", "obj1", "boat"), atom("type", "obj2", "boat"),
+         atom("type", "obj3", "man")]
+    )
+    assert [str(g.head) for g in ground_program(program, facts)] == [
+        "same(obj1,obj1)", "same(obj1,obj2)", "same(obj2,obj1)",
+        "same(obj2,obj2)", "same(obj3,obj3)", "mark(boat)",
+    ]
 
 
 def test_ground_program_boat_scene():
@@ -107,17 +99,19 @@ def test_mutually_recursive_rules_reach_their_fixpoint():
     assert heads == {"even(obj0)", "odd(obj1)", "even(obj2)", "odd(obj3)"}
 
 
-def test_intensional_joins_follow_universe_order():
-    # c/1 is derived in m's fact order (obj2, obj1), but the instances of
-    # rule 1 bind X in universe order (obj1, obj2), the order in which the
-    # soft OR over d(obj1) sums its conjunctions.
+def test_joins_follow_store_order():
+    # c/1 is derived in m's fact order (obj2, obj1), and the instances of
+    # rule 1 take c's atoms in that order, the order in which the soft OR
+    # over d(obj1) sums its conjunctions. A derived head that is also a
+    # fact keeps the fact's place: c(obj3) comes first.
     program = parse_program("c(X):-m(X).\nd(obj1):-c(X).")
     facts = FactSet(
-        [atom("t", "obj1"), atom("t", "obj2"), atom("m", "obj2"), atom("m", "obj1")]
+        [atom("c", "obj3"), atom("m", "obj2"), atom("m", "obj1"),
+         atom("m", "obj3")]
     )
     ground = ground_program(program, facts)
-    assert [str(g.body[0]) for g in ground if g.rule_index == 1] == [
-        "c(obj1)", "c(obj2)",
+    assert [str(g.body[0]) for g in ground] == [
+        "m(obj2)", "m(obj1)", "m(obj3)", "c(obj3)", "c(obj2)", "c(obj1)",
     ]
 
 
@@ -143,6 +137,25 @@ def test_binding_budget_enforced(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_grounding_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
+    program = parse_program("mark(X):-link(X,Y),link(Y,Z).")
+    facts = FactSet(
+        [atom("link", f"obj{i}", f"obj{j}") for i in range(4) for j in range(4)]
+    )
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert len(ground_program(program, facts)) == 64
+        assert gc.isenabled() == enabled
+        monkeypatch.setattr(grounding, "BINDING_BUDGET", 10)
+        with pytest.raises(GroundingTooLarge):
+            ground_program(program, facts)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 def test_reasoning_graph_layout():
     program = parse_program(PROGRAM_1)
     facts = boat_scene_facts()
@@ -156,6 +169,7 @@ def test_reasoning_graph_layout():
     assert np.all(graph.conj_rule < graph.n_rules)
     # Every head is an updated atom and vice versa.
     assert set(graph.conj_head) == set(graph.updated_atoms)
+    assert repr(graph) == "ReasoningGraph(8 atoms, 3 conjunctions, 5 facts)"
 
 
 def test_graph_carries_read_only_rule_weights():
@@ -168,19 +182,6 @@ def test_graph_carries_read_only_rule_weights():
     with pytest.raises(ValueError):
         graph.weights += 1.0
     assert graph.weights.tolist() == [0.25, 1.0]
-
-
-def test_recorded_names_come_before_the_facts_own():
-    program = parse_program("cond1(X):-near(X,Y).\ntarget(X):-cond1(X),on(X,obj9).")
-    facts = FactSet([atom("on", "obj2", "obj1")])
-    facts.leads, facts.later = ("obj1", "obj2"), ("obj3", "obj1")
-    names = [t.name for t in grounding_universe(program, facts)]
-    assert names == ["obj1", "obj2", "obj3", "obj9"]
-    # A fact added later widens the universe as it would the full facts:
-    # its first argument after every recorded one, its others after theirs.
-    facts.add(atom("near", "obj5", "obj4"))
-    names = [t.name for t in grounding_universe(program, facts)]
-    assert names == ["obj1", "obj2", "obj5", "obj3", "obj4", "obj9"]
 
 
 def test_forward_keeps_fact_values_when_no_rule_derives_a_fact():
@@ -205,20 +206,6 @@ def test_ground_rule_head_can_be_existing_fact():
     assert graph.updated_atoms.tolist() == [0]
 
 
-def test_debug_dict_round_trips_through_json():
-    program = parse_program(PROGRAM_1)
-    graph = build_reasoning_graph(program, boat_scene_facts())
-    dump = json.loads(json.dumps(graph.to_debug_dict()))
-    assert dump["n_facts"] == graph.n_facts
-    assert len(dump["atoms"]) == graph.n_atoms
-    assert len(dump["conjunctions"]) == graph.n_conj
-    for conj in dump["conjunctions"]:
-        assert 0 <= conj["head"] < graph.n_atoms
-        assert 0 <= conj["rule_index"] < graph.n_rules
-        assert all(0 <= b < graph.n_atoms for b in conj["body"])
-    assert "atoms" in repr(graph) or "ReasoningGraph" in repr(graph)
-
-
 _PREDICATES = (
     Predicate("p", 1), Predicate("q", 2), Predicate("r", 1), Predicate("s", 2),
 )
@@ -229,7 +216,7 @@ _VARIABLES = (Term("X"), Term("Y"), Term("Z"))
 def programs_and_facts(draw):
     """A random program over p/1, q/2, r/1, s/2 (recursion included) and
     facts over up to five objects plus the attribute constant ``boat``,
-    which facts never put first, so it stays outside the universe."""
+    which facts never put first."""
     objects = [Term(f"obj{i}") for i in range(1, draw(st.integers(1, 5)) + 1)]
     const = st.sampled_from(objects + [Term("boat")])
     pred = st.sampled_from(_PREDICATES)

@@ -180,37 +180,16 @@ def test_factset_rejects_non_ground_atoms():
         FactSet([atom("type", "Y", "boat")])
 
 
-def _recorded(atoms, leads, later) -> FactSet:
-    facts = FactSet(atoms)
-    facts.leads, facts.later = leads, later
-    return facts
-
-
-def test_recorded_names_are_not_part_of_equality():
-    facts = [atom("on", "obj1", "obj2")]
-    recorded = _recorded(facts, ("obj3", "obj1"), ("obj2",))
-    assert recorded == FactSet(facts)
-    assert (recorded.leads, recorded.later) == (("obj3", "obj1"), ("obj2",))
-    # A copy takes the facts alone.
-    assert (FactSet(recorded).leads, FactSet(recorded).later) == ((), ())
-
-
-def test_pooled_facts_keep_order_and_carry_recorded_names():
-    first = _recorded(
-        [atom("on", "obj1", "obj2", "sgg1")], ("obj1", "obj3"), ("obj2", "sgg1")
-    )
-    second = _recorded(
-        [atom("on", "obj2", "obj1", "sgg2"), atom("on", "obj1", "obj2", "sgg1")],
-        ("obj2", "obj1"),
-        ("sgg2",),
+def test_pooled_facts_keep_their_order():
+    first = FactSet([atom("on", "obj1", "obj2", "sgg1")])
+    second = FactSet(
+        [atom("on", "obj2", "obj1", "sgg2"), atom("on", "obj1", "obj2", "sgg1")]
     )
     pooled = FactSet.pool([first, second])
     assert list(pooled) == [
         atom("on", "obj1", "obj2", "sgg1"), atom("on", "obj2", "obj1", "sgg2"),
     ]
     assert pooled.position(atom("on", "obj2", "obj1", "sgg2")) == 1
-    assert pooled.leads == ("obj1", "obj3", "obj2", "obj1")
-    assert pooled.later == ("obj2", "sgg1", "sgg2")
     assert len(FactSet.pool([])) == 0
 
 
