@@ -32,6 +32,7 @@ from .logic import Atom, FactSet, Predicate, Program, Term, render_rule
 
 __all__ = [
     "GroundRule",
+    "Grounding",
     "ReasoningGraph",
     "GroundingTooLarge",
     "ground_program",
@@ -54,6 +55,17 @@ class GroundRule:
     head: Atom
     body: tuple[Atom, ...]
     rule_index: int
+
+
+class Grounding(list):
+    """The ground rules of one :func:`ground_program` call, in order, and
+    the proof depth of the program's shape (see :class:`_Plan`)."""
+
+    __slots__ = ("depth",)
+
+    def __init__(self, rules, depth: int | None) -> None:
+        super().__init__(rules)
+        self.depth = depth
 
 
 def _shape(program: Program) -> tuple[tuple, tuple[Predicate, ...]]:
@@ -93,9 +105,14 @@ class _Plan:
 
     ``head_slots`` gives each rule's head arguments as slots, None for a
     constant, and ``body_at`` each body atom's place in join order.
+
+    ``depth`` is the program's proof depth in rounds: an extensional
+    predicate sits at 0 and a head one above its deepest body predicate.
+    It bounds the height of every ground atom, so the reasoner's rounds
+    past it change nothing. It is None when a stratum is recursive.
     """
 
-    __slots__ = ("strata", "joins", "head_slots", "body_at")
+    __slots__ = ("strata", "joins", "head_slots", "body_at", "depth")
 
     def __init__(self, shape: tuple) -> None:
         intensional = {rule[0][0] for rule in shape}
@@ -140,6 +157,22 @@ class _Plan:
         self.joins = tuple(joins)
         self.head_slots = tuple(head_slots)
         self.body_at = tuple(body_at)
+        self.depth = self._depth(shape, self.strata)
+
+    @staticmethod
+    def _depth(shape: tuple, strata: tuple) -> int | None:
+        """The proof depth of a shape, None if it has a recursive stratum.
+        Strata come dependencies first, so each body predicate's depth is
+        known before its heads'."""
+        depth: dict[int, int] = {}
+        for rules, recursive in strata:
+            if recursive:
+                return None
+            for i in rules:
+                (head, _), *body = shape[i]
+                d = 1 + max((depth.get(p, 0) for p, _ in body), default=0)
+                depth[head] = max(depth.get(head, 0), d)
+        return max(depth.values(), default=0)
 
     @staticmethod
     def _stratify(shape: tuple) -> tuple[tuple[tuple[int, ...], bool], ...]:
@@ -198,7 +231,7 @@ class _Plan:
 _plan = lru_cache(maxsize=256)(_Plan)
 
 
-def ground_program(program: Program, facts: FactSet) -> list[GroundRule]:
+def ground_program(program: Program, facts: FactSet) -> Grounding:
     """Ground the rule instances that can fire.
 
     A bottom-up boolean fixpoint over atom *presence*: the input facts are
@@ -215,7 +248,7 @@ def ground_program(program: Program, facts: FactSet) -> list[GroundRule]:
     ordered by rule index and then by join order: extensional body atoms
     first, then intensional ones, each taking its matches in store order
     (the facts in fact-store order, then derived heads in derivation
-    order).
+    order). It carries the program's proof depth, read off the same plan.
 
     The call counts the bindings it builds over all rules, join steps and
     re-joins: the empty binding each join starts from, and each extension
@@ -235,7 +268,7 @@ def ground_program(program: Program, facts: FactSet) -> list[GroundRule]:
             gc.enable()
 
 
-def _ground(program: Program, facts: FactSet) -> list[GroundRule]:
+def _ground(program: Program, facts: FactSet) -> Grounding:
     """The body of :func:`ground_program`, run with the collector paused."""
     shape, predicates = _shape(program)
     plan = _plan(shape)
@@ -347,7 +380,9 @@ def _ground(program: Program, facts: FactSet) -> list[GroundRule]:
             if not (recursive and new_heads):
                 break
 
-    return [gr for instances in per_rule for gr in instances]
+    return Grounding(
+        (gr for instances in per_rule for gr in instances), plan.depth
+    )
 
 
 class ReasoningGraph:
@@ -361,6 +396,8 @@ class ReasoningGraph:
     ``target_atoms`` the node ids of the target/1 atoms, facts included,
     in node order. ``defines_target`` records whether the program has a
     target/1 rule, which a graph without target/1 atoms cannot show.
+    ``depth`` bounds the height of every atom in rounds (see
+    :class:`_Plan`), or is None for a recursive program.
     Immutable after construction.
     """
 
@@ -370,6 +407,7 @@ class ReasoningGraph:
         facts: FactSet,
         weights,
         defines_target: bool,
+        depth: int | None,
     ):
         atoms: list[Atom] = list(facts)
         index: dict[Atom, int] = dict(facts._index)
@@ -426,6 +464,7 @@ class ReasoningGraph:
         self.weights: np.ndarray = weights
         self.n_rules: int = len(weights)
         self.defines_target: bool = defines_target
+        self.depth: int | None = depth
         self.target_atoms: tuple[int, ...] = tuple(
             i
             for i, a in enumerate(atoms)
@@ -464,11 +503,14 @@ def build_reasoning_graph(program: Program, facts: FactSet) -> ReasoningGraph:
     Atom nodes are deduplicated; every input fact has a node even when no
     rule touches it. The graph carries the program's rule weights, so rules
     without groundings still own a weight slot, and records whether the
-    program defines target/1 even when no target atom is derivable.
+    program defines target/1 even when no target atom is derivable, and
+    the program's proof depth.
     """
+    ground_rules = ground_program(program, facts)
     return ReasoningGraph(
-        ground_program(program, facts),
+        ground_rules,
         facts,
         weights=[r.weight for r in program.rules],
         defines_target=_TARGET in program.intensional_predicates,
+        depth=ground_rules.depth,
     )

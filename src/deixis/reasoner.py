@@ -23,7 +23,9 @@ overshoots the maximum by at most ``gamma * log(n)``.
 
 Since a head reads only its fact value and the previous valuation of its
 bodies, every atom of an acyclic graph is final once the round count
-reaches its proof depth: rounds past it change nothing.
+reaches its proof depth: rounds past it change nothing.  So ``forward``
+runs ``min(cfg.steps, graph.depth)`` rounds, and ``cfg.steps`` only on a
+graph without a depth bound (a recursive program).
 
 ``forward`` takes one value per input fact (the graph's first ``n_facts``
 atoms) and starts every other atom at 0.  ``forward(record=True)`` also
@@ -74,9 +76,9 @@ class ReasonerConfig:
     """Knobs for the soft forward chainer.
 
     gamma:  smoothness of the log-sum-exp soft OR.  Smaller is sharper.
-    steps:  number of message-passing rounds, a bound on proof depth:
-        rounds past the depth of a graph's deepest proof change
-        nothing.
+    steps:  the most message-passing rounds, a bound on proof depth.
+        Rounds past a graph's proof depth change nothing, so forward
+        stops there (see ``ReasoningGraph.depth``).
     target_threshold:  minimum score for an object to count as a target.
     rng_seed:  seed for the fallback draw when no generator is supplied.
     """
@@ -188,13 +190,15 @@ def forward(
     cfg: ReasonerConfig,
     record: bool = False,
 ):
-    """Run ``cfg.steps`` rounds of soft forward chaining.
+    """Run ``min(cfg.steps, graph.depth)`` rounds of soft forward
+    chaining, or ``cfg.steps`` when the graph has no depth bound.
 
     ``fact_values`` holds one value per input fact; every derived atom
     starts at 0.  Returns the final atom valuation, or ``(valuation, tape)``
-    when ``record`` is true.  The valuation of an atom is clamped to at
-    most 1.0, and an atom every derivation of which has product 0 keeps
-    its fact value, 0 for a derived atom.
+    when ``record`` is true, the tape holding the rounds that ran.  The
+    valuation of an atom is clamped to at most 1.0, and an atom every
+    derivation of which has product 0 keeps its fact value, 0 for a
+    derived atom.
     """
     fact_values = np.asarray(fact_values, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -230,7 +234,8 @@ def forward(
         weights.flags.writeable = False
         tape = Tape(graph, cfg, weights)
 
-    for _ in range(cfg.steps):
+    rounds = cfg.steps if graph.depth is None else min(cfg.steps, graph.depth)
+    for _ in range(rounds):
         # Soft AND: each conjunction scores the product of its body atoms
         # under the previous valuation.
         body_vals = atoms[gather]

@@ -15,6 +15,13 @@ The merge weights w_k = sigmoid(theta_k) are the only trained parameters:
 predictions are labeled by box IoU against the answers, scored with binary
 cross-entropy, and the gradient flows through the differentiable reasoner
 back to theta, updated with RMSProp.
+
+theta reaches only the merge rules, and no rule body reads target/1, so
+every atom below target is the same on every pass (activity analysis, as
+in Hascoët and Pascual, "The Tapenade automatic differentiation tool",
+ACM TOMS 2013). An example's first pass under a reasoner config runs its
+whole graph; once the config reaches the graph's proof depth, every later
+pass runs only the merge layer, with the same bits.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ import numpy as np
 
 from .datasets import DeicticInstance
 from .evaluation import EvalConfig, evaluate_instances
-from .grounding import ReasoningGraph, build_reasoning_graph
-from .logic import Atom, FactSet, Predicate, Program, Rule, Term
+from .grounding import GroundRule, ReasoningGraph, build_reasoning_graph
+from .logic import Atom, FactSet, Predicate, Program, Rule, Term, render_rule
 from .reasoner import (
     ReasonerConfig,
     TargetPrediction,
@@ -40,6 +47,7 @@ from .reasoner import (
 from .scene import Box, SceneGraph, scene_graph_to_facts, tagged_predicate
 
 _BCE_EPS = 1e-7
+_TARGET = Predicate("target", 1)
 
 
 def sigmoid(x):
@@ -66,16 +74,18 @@ def label_predictions(
 
 def bce_loss(scores, labels) -> float:
     """Summed binary cross-entropy with scores clamped to [eps, 1-eps]."""
-    s = np.clip(np.asarray(scores, dtype=np.float64), _BCE_EPS, 1.0 - _BCE_EPS)
-    y = np.asarray(labels, dtype=np.float64)
-    return float(-(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)).sum())
+    return _bce(
+        np.asarray(scores, dtype=np.float64), np.asarray(labels, dtype=np.float64)
+    )[0]
 
 
-def bce_grad(scores, labels) -> np.ndarray:
-    """d(bce_loss)/d(scores), evaluated at the clamped scores."""
-    s = np.clip(np.asarray(scores, dtype=np.float64), _BCE_EPS, 1.0 - _BCE_EPS)
-    y = np.asarray(labels, dtype=np.float64)
-    return (s - y) / (s * (1.0 - s))
+def _bce(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """bce_loss and its gradient with respect to the scores, both at the
+    scores clamped once. np.maximum and np.minimum give np.clip's bits on
+    finite scores without its Python-level wrapper."""
+    s = np.minimum(np.maximum(scores, _BCE_EPS), 1.0 - _BCE_EPS)
+    loss = float(-(labels * np.log(s) + (1.0 - labels) * np.log(1.0 - s)).sum())
+    return loss, (s - labels) / (s * (1.0 - s))
 
 
 @dataclass(frozen=True)
@@ -211,6 +221,14 @@ class MixtureTask:
                 f"expected one merge rule per source "
                 f"({len(self.sources)}), found {len(merge)}"
             )
+        # Replaying only the merge layer is exact only while the target
+        # atoms, the one place theta reaches, feed no other atom.
+        for rule in self.program_template.rules:
+            if any(b.predicate == _TARGET for b in rule.body):
+                raise ValueError(
+                    f"template rule {render_rule(rule)} reads target/1; "
+                    f"no rule of a mixture may read it"
+                )
 
     @property
     def weights(self) -> np.ndarray:
@@ -289,6 +307,10 @@ class _GroundedExample:
     merge_indices: np.ndarray
     extraction_sg: SceneGraph
     answer_boxes: list[Box]
+    # Per reasoner config that reaches the graph's proof depth: the final
+    # valuation of the first pass, then the merge layer cut from it as
+    # (graph, fact values).
+    kept: dict = field(default_factory=dict, repr=False)
 
 
 def _ground_example(task: MixtureTask, example: TrainingExample) -> _GroundedExample:
@@ -309,6 +331,73 @@ def _ground_example(task: MixtureTask, example: TrainingExample) -> _GroundedExa
     )
 
 
+def _merge_layer(
+    graph: ReasoningGraph, valuation: np.ndarray
+) -> tuple[ReasoningGraph, np.ndarray]:
+    """The conjunctions that derive target/1 atoms, cut from a grounded
+    graph into a graph one round deep, and its fact values: the body atoms
+    of those conjunctions at their values in ``valuation``, the graph's
+    final valuation.
+
+    No rule body reads target/1, so those body atoms are final, and one
+    round gives each target atom the bits the whole graph gives it: the
+    conjunctions keep their order and rule indices, and the cut keeps
+    every rule's weight slot, so the merge indices name the same rules.
+    """
+    targets = set(graph.target_atoms)
+    starts, counts = graph.body_starts.tolist(), graph.body_counts.tolist()
+    body_atoms, rules = graph.body_atoms.tolist(), graph.conj_rule.tolist()
+    ground_rules = []
+    body_ids: dict[int, None] = {}
+    for c, head in enumerate(graph.conj_head.tolist()):
+        if head in targets:
+            body = body_atoms[starts[c] : starts[c] + counts[c]]
+            body_ids.update(dict.fromkeys(body))
+            ground_rules.append(
+                GroundRule(
+                    graph.atoms[head], tuple(graph.atoms[i] for i in body), rules[c]
+                )
+            )
+    ids = list(body_ids)
+    cut = ReasoningGraph(
+        ground_rules,
+        FactSet(graph.atoms[i] for i in ids),
+        graph.weights,
+        defines_target=graph.defines_target,
+        depth=1,
+    )
+    return cut, valuation[ids]
+
+
+def _reason(
+    grounded: _GroundedExample,
+    w: np.ndarray,
+    reasoner_cfg: ReasonerConfig,
+    record: bool = False,
+):
+    """One reasoner pass over an example with merge weights ``w``: the
+    graph it ran on and what :func:`forward` returned.
+
+    The first pass runs the whole graph. When ``reasoner_cfg.steps``
+    reaches the graph's proof depth, that pass keeps its final valuation,
+    and every later pass runs only the merge layer cut from it
+    (:func:`_merge_layer`).
+    """
+    graph, fact_values = grounded.graph, grounded.fact_values
+    replay = graph.depth is not None and reasoner_cfg.steps >= graph.depth
+    kept = grounded.kept.get(reasoner_cfg) if replay else None
+    if kept is not None:
+        if isinstance(kept, np.ndarray):
+            kept = grounded.kept[reasoner_cfg] = _merge_layer(graph, kept)
+        graph, fact_values = kept
+    weights = graph.weights.copy()
+    weights[grounded.merge_indices] = w
+    result = forward(graph, fact_values, weights, reasoner_cfg, record=record)
+    if replay and kept is None:
+        grounded.kept[reasoner_cfg] = result[0] if record else result
+    return graph, result
+
+
 def _example_loss_and_grad(
     grounded: _GroundedExample,
     theta: np.ndarray,
@@ -317,24 +406,29 @@ def _example_loss_and_grad(
     rng: np.random.Generator,
 ) -> tuple[float, np.ndarray]:
     """BCE loss for one example and its gradient with respect to theta."""
-    graph = grounded.graph
-    weights = graph.weights.copy()
-    w = sigmoid(theta)
-    weights[grounded.merge_indices] = w
-
-    v_final, tape = forward(
-        graph, grounded.fact_values, weights, reasoner_cfg, record=True
+    return _loss_and_grad(
+        grounded, sigmoid(theta), reasoner_cfg, iou_threshold, rng
     )
+
+
+def _loss_and_grad(
+    grounded: _GroundedExample,
+    w: np.ndarray,
+    reasoner_cfg: ReasonerConfig,
+    iou_threshold: float,
+    rng: np.random.Generator,
+) -> tuple[float, np.ndarray]:
+    """:func:`_example_loss_and_grad` at the merge weights w = sigmoid(theta)."""
+    graph, (v_final, tape) = _reason(grounded, w, reasoner_cfg, record=True)
     predictions = extract_targets(
         graph, v_final, grounded.extraction_sg, reasoner_cfg, rng=rng
     )
     if not predictions:
-        return 0.0, np.zeros_like(theta)
+        return 0.0, np.zeros_like(w)
 
     scores = np.array([p.score for p in predictions], dtype=np.float64)
     labels = label_predictions(predictions, grounded.answer_boxes, iou_threshold)
-    loss = bce_loss(scores, labels)
-    d_scores = bce_grad(scores, labels)
+    loss, d_scores = _bce(scores, labels)
 
     loss_grad = np.zeros(graph.n_atoms, dtype=np.float64)
     any_path = False
@@ -344,7 +438,7 @@ def _example_loss_and_grad(
             loss_grad[pred.node] += d
             any_path = True
     if not any_path:
-        return loss, np.zeros_like(theta)
+        return loss, np.zeros_like(w)
 
     grad_weights, _ = backward(tape, loss_grad)
     grad_theta = grad_weights[grounded.merge_indices] * w * (1.0 - w)
@@ -379,16 +473,13 @@ def evaluate_mixture(
     eval_cfg = eval_cfg or EvalConfig()
     if rng is None:
         rng = np.random.default_rng(reasoner_cfg.rng_seed)
+    w = sigmoid(theta)
     instances = []
     for example in data:
         grounded = task.grounded(example)
-        weights = grounded.graph.weights.copy()
-        weights[grounded.merge_indices] = sigmoid(theta)
-        v_final = forward(
-            grounded.graph, grounded.fact_values, weights, reasoner_cfg
-        )
+        graph, v_final = _reason(grounded, w, reasoner_cfg)
         predictions = extract_targets(
-            grounded.graph, v_final, grounded.extraction_sg, reasoner_cfg, rng=rng
+            graph, v_final, grounded.extraction_sg, reasoner_cfg, rng=rng
         )
         instances.append(
             (
@@ -436,12 +527,13 @@ def train_mixture(
     ]
 
     for step in range(1, cfg.steps + 1):
+        w = sigmoid(theta)
         batch_loss = 0.0
         batch_grad = np.zeros_like(theta)
         for _ in range(cfg.batch_size):
             index = int(rng.integers(len(data)))
-            loss, grad = _example_loss_and_grad(
-                task.grounded(data[index]), theta, reasoner_cfg,
+            loss, grad = _loss_and_grad(
+                task.grounded(data[index]), w, reasoner_cfg,
                 cfg.iou_threshold, rng,
             )
             batch_loss += loss

@@ -198,6 +198,32 @@ def same_bits(got, want) -> bool:
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def program_depth(program):
+    """Proof depth of a program's predicates: 0 for an extensional one, one
+    above its deepest body predicate for a head, and None when some
+    predicate depends on itself."""
+    bodies = {}
+    for rule in program.rules:
+        bodies.setdefault(rule.head.predicate, []).extend(
+            b.predicate for b in rule.body
+        )
+
+    def depth(p, path):
+        if p not in bodies:
+            return 0
+        if p in path:
+            return None
+        below = [depth(q, path | {p}) for q in bodies[p]]
+        return None if None in below else 1 + max(below, default=0)
+
+    depths = [depth(p, frozenset()) for p in bodies]
+    return None if None in depths else max(depths, default=0)
+
+
+def rounds_run(steps, depth) -> int:
+    return steps if depth is None else min(steps, depth)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     rules=st.sets(st.integers(0, len(KERNEL_RULES) - 1), min_size=1),
@@ -210,9 +236,10 @@ def same_bits(got, want) -> bool:
 @example(rules={7}, n_objects=1, seed=1, gamma=0.01, steps=2)  # only the sentinel
 @example(rules=set(range(len(KERNEL_RULES))), n_objects=4, seed=2, gamma=0.2, steps=8)
 def test_kernel_matches_the_reference_bit_for_bit(rules, n_objects, seed, gamma, steps):
-    """forward and backward give the reference kernel's bits: the
-    valuation, each round's conjunction values (its products) and both
-    gradients."""
+    """forward and backward give the bits of the reference kernel, which
+    runs all ``steps`` rounds: the valuation, each round's conjunction
+    values (its products) and both gradients. forward stops at the
+    program's proof depth, where one is known."""
     rng = np.random.default_rng(seed)
     consts = [f"obj{i}" for i in range(1, n_objects + 1)]
     facts = FactSet()
@@ -239,7 +266,9 @@ def test_kernel_matches_the_reference_bit_for_bit(rules, n_objects, seed, gamma,
     ref_v, ref_tape = reference_forward(graph, fact_values, weights, cfg, record=True)
     assert same_bits(v, ref_v)
     assert same_bits(forward(graph, fact_values, weights, cfg), v)
-    assert len(tape.rounds) == len(ref_tape.rounds) == steps
+    assert graph.depth == program_depth(program)
+    assert len(ref_tape.rounds) == steps
+    assert len(tape.rounds) == rounds_run(steps, graph.depth)
     for rec, ref in zip(tape.rounds, ref_tape.rounds):
         assert same_bits(rec.products, ref.products)
     grad_w, grad_facts = backward(tape, loss_grad)
@@ -335,10 +364,56 @@ def test_no_evidence_scores_zero_and_rounds_past_the_depth_change_nothing(
     assert np.all(v[unsupported] == 0.0)
 
     depth = max(proof_depth(graph), 1)
+    assert depth <= graph.depth == program_depth(program)
     at_depth = forward(graph, fact_values, weights, ReasonerConfig(gamma, depth))
     for more in range(depth + 1, 9):
         v_more = forward(graph, fact_values, weights, ReasonerConfig(gamma, more))
         assert same_bits(v_more, at_depth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rules=st.sets(st.integers(0, len(ACYCLIC_RULES) - 1), min_size=1),
+    n_objects=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    gamma=st.floats(0.01, 0.2),
+)
+@example(rules=set(range(len(ACYCLIC_RULES))), n_objects=4, seed=3, gamma=0.2)
+def test_rounds_past_the_depth_change_no_gradient(rules, n_objects, seed, gamma):
+    """The gradients at the proof depth are the gradients at every larger
+    ``steps``, bit for bit: the reference kernel, which runs every round,
+    gives them too. The tape holds the rounds forward ran."""
+    rng = np.random.default_rng(seed)
+    consts = [f"obj{i}" for i in range(1, n_objects + 1)]
+    facts = FactSet()
+    for a in consts:
+        for b in consts:
+            if rng.random() < 0.5:
+                facts.add(atom("link", a, b))
+        if rng.random() < 0.7:
+            facts.add(atom("mark", a))
+    program = parse_program("\n".join(ACYCLIC_RULES[i] for i in sorted(rules)))
+    graph = build_reasoning_graph(program, facts)
+    fact_values = rng.uniform(0.0, 1.0, graph.n_facts)
+    fact_values[rng.random(graph.n_facts) < 0.3] = 0.0
+    weights = rng.uniform(0.0, 1.0, graph.n_rules)
+    loss_grad = rng.normal(size=graph.n_atoms)
+
+    depth = max(proof_depth(graph), 1)
+    _, tape = forward(
+        graph, fact_values, weights, ReasonerConfig(gamma, depth), record=True
+    )
+    assert len(tape.rounds) == depth
+    at_depth = backward(tape, loss_grad)
+    for more in range(depth, 9):
+        cfg = ReasonerConfig(gamma, more)
+        _, tape = forward(graph, fact_values, weights, cfg, record=True)
+        assert len(tape.rounds) == rounds_run(more, graph.depth)
+        _, ref_tape = reference_forward(graph, fact_values, weights, cfg, record=True)
+        ref = reference_backward(ref_tape, loss_grad)
+        for grad_w, grad_facts in (backward(tape, loss_grad), ref):
+            assert same_bits(grad_w, at_depth[0])
+            assert same_bits(grad_facts, at_depth[1])
 
 
 README_PROGRAM = "cond1(X):-on(X,Y),type(Y,boat).\ntarget(X):-cond1(X).\n"

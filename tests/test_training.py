@@ -1,10 +1,13 @@
 """Mixture specialization, the loss stack, and the training loop."""
 
+import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from deixis.datasets import (
     AnswerObject,
@@ -13,16 +16,21 @@ from deixis.datasets import (
     random_scene_graphs,
     synthesize_deivg,
 )
-from deixis.logic import atom, parse_program, render_program
-from deixis.reasoner import ReasonerConfig
+from deixis.logic import Program, atom, parse_program, render_program
+from deixis.reasoner import ReasonerConfig, extract_targets
 from deixis.rulegen import template_rulegen
 from deixis.scene import Box, SceneGraph, SceneObject
 from deixis.training import (
+    MixtureTask,
     TrainConfig,
     TrainingExample,
+    _example_loss_and_grad,
+    _ground_example,
+    _reason,
     bce_loss,
     evaluate_mixture,
     label_predictions,
+    make_merge_rules,
     make_mixture_task,
     mixture_facts,
     save_checkpoint,
@@ -54,6 +62,15 @@ def test_mixture_task_shapes():
     merge = render_program(task.program_template)
     assert "target(X):-targetSgg(X,sgg1)." in merge
     assert "target(X):-targetSgg(X,sgg2)." in merge
+
+
+def test_mixture_task_rejects_a_rule_that_reads_target():
+    # Training replays only the merge layer, which is exact only while no
+    # other atom reads the target atoms.
+    reader = parse_program("top(X):-target(X),mark(X).").rules
+    template = Program(make_merge_rules(2) + reader)
+    with pytest.raises(ValueError, match=re.escape("top(X):-target(X),mark(X).")):
+        MixtureTask(("ground_truth", "corrupted"), template, np.zeros(2))
 
 
 def test_mixture_facts_tags_sources():
@@ -265,3 +282,69 @@ def test_each_example_is_grounded_once_per_task(monkeypatch):
     ) == after
     assert len(calls) == distinct + len(test)
     assert 0.0 <= before <= 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def replay_examples():
+    return make_training_data(n_graphs=20, seed=5)
+
+
+@pytest.mark.filterwarnings(
+    "ignore::deixis.datasets.InsufficientCandidatesWarning"
+)
+@settings(max_examples=60, deadline=None)
+@given(
+    index=st.integers(0, 19),
+    sources=st.sampled_from([
+        ("ground_truth",),
+        ("corrupted",),
+        ("ground_truth", "corrupted"),
+        ("corrupted", "ground_truth"),
+    ]),
+    theta=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2),
+    steps=st.integers(1, 6),
+    gamma=st.floats(0.01, 0.2),
+)
+# Nothing is derivable from the one source, so the merge layer is empty.
+@example(index=10, sources=("corrupted",), theta=[0.0, 0.0], steps=3, gamma=0.1)
+def test_a_replayed_pass_matches_the_whole_graph(index, sources, theta, steps, gamma):
+    """From an example's second pass on, a config that reaches the proof
+    depth runs only the merge layer, and it gives the whole graph's
+    predictions, loss and theta gradient bit for bit. Below the depth no
+    pass replays."""
+    examples = replay_examples()
+    example = examples[index % len(examples)]
+    task = make_mixture_task(sources)
+    theta = np.array(theta[: len(sources)])
+    w = sigmoid(theta)
+    cfg = ReasonerConfig(gamma=gamma, steps=steps)
+
+    def predictions(grounded):
+        graph, v = _reason(grounded, w, cfg)
+        found = extract_targets(
+            graph, v, grounded.extraction_sg, cfg, rng=np.random.default_rng(0)
+        )
+        return graph, [(p.object_id, p.box, p.score, p.fallback) for p in found]
+
+    def loss_and_grad(grounded):
+        loss, grad = _example_loss_and_grad(
+            grounded, theta, cfg, 0.8, np.random.default_rng(0)
+        )
+        return loss, grad.tobytes()
+
+    # The first pass over a fresh grounding runs the whole graph.
+    whole = _ground_example(task, example)
+    whole_graph, want = predictions(whole)
+    assert whole_graph is whole.graph
+    want_loss = loss_and_grad(_ground_example(task, example))
+
+    primed = _ground_example(task, example)
+    _example_loss_and_grad(primed, -theta, cfg, 0.8, np.random.default_rng(1))
+    graph, got = predictions(primed)
+    assert got == want
+    assert loss_and_grad(primed) == want_loss
+    if steps >= primed.graph.depth:
+        assert graph is not primed.graph and graph.depth == 1
+        assert graph.n_conj <= primed.graph.n_conj
+    else:
+        assert graph is primed.graph and not primed.kept
