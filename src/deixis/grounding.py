@@ -25,6 +25,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -386,7 +387,7 @@ def _ground(program: Program, facts: FactSet) -> Grounding:
 
 
 class ReasoningGraph:
-    """Bipartite graph of ground atom nodes and conjunction nodes.
+    """Bipartite graph of ground atom and conjunction nodes as index arrays.
 
     One conjunction node per ground rule; each has one or more body atoms
     (atom -> conj edges) and exactly one head atom (conj -> atom edge).
@@ -397,8 +398,10 @@ class ReasoningGraph:
     in node order. ``defines_target`` records whether the program has a
     target/1 rule, which a graph without target/1 atoms cannot show.
     ``depth`` bounds the height of every atom in rounds (see
-    :class:`_Plan`), or is None for a recursive program.
-    Immutable after construction.
+    :class:`_Plan`), or is None for a recursive program. The constructor
+    interns atoms into node ids, and one core, :meth:`_build`, derives
+    every array from those ids, for :meth:`cut` too. Immutable after
+    construction.
     """
 
     def __init__(
@@ -409,28 +412,30 @@ class ReasoningGraph:
         defines_target: bool,
         depth: int | None,
     ):
-        atoms: list[Atom] = list(facts)
+        # Node ids in interning order, the facts first at their positions.
         index: dict[Atom, int] = dict(facts._index)
-
-        def intern(a: Atom) -> int:
-            i = index.get(a)
-            if i is None:
-                i = len(atoms)
-                atoms.append(a)
-                index[a] = i
-            return i
-
-        head_idx = []
-        rule_idx = []
-        body_starts = []
-        body_counts = []
-        body_flat: list[int] = []
+        heads, body_counts, body_flat = [], [], []
         for gr in ground_rules:
-            head_idx.append(intern(gr.head))
-            rule_idx.append(gr.rule_index)
-            body_starts.append(len(body_flat))
+            heads.append(index.setdefault(gr.head, len(index)))
             body_counts.append(len(gr.body))
-            body_flat.extend(intern(a) for a in gr.body)
+            body_flat.extend(index.setdefault(a, len(index)) for a in gr.body)
+        atoms = tuple(index)
+        self._build(
+            atoms, len(facts), heads, [gr.rule_index for gr in ground_rules],
+            body_flat, body_counts, weights, defines_target, depth,
+            tuple(
+                i for i, a in enumerate(atoms)
+                if a.predicate.name == "target" and a.predicate.arity == 1
+            ),
+        )
+
+    def _build(
+        self, atoms, n_facts, heads, rules, body_flat, body_counts,
+        weights, defines_target, depth, target_atoms,
+    ) -> None:
+        """Fill the graph from integer data: per conjunction its head atom,
+        rule index and body count (lists), and its body atoms flat."""
+        body_starts = list(accumulate(body_counts, initial=0))[:-1]
         # The reduceat plan over body values padded with one sentinel slot
         # past the end: reduceat cannot express an empty segment, so an
         # empty body (a weighted program fact) starts at the sentinel. The
@@ -444,35 +449,31 @@ class ReasoningGraph:
 
         # Conjunctions grouped by head atom for the disjunctive update, in
         # a stable order.
-        grouped = sorted(range(len(head_idx)), key=head_idx.__getitem__)
+        grouped = sorted(range(len(heads)), key=heads.__getitem__)
         updated: list[int] = []
         group_starts: list[int] = []
         group_of: list[int] = []
         for g, c in enumerate(grouped):
-            if not updated or head_idx[c] != updated[-1]:
-                updated.append(head_idx[c])
+            if not updated or heads[c] != updated[-1]:
+                updated.append(heads[c])
                 group_starts.append(g)
             group_of.append(len(updated) - 1)
 
         weights = np.array(weights, dtype=np.float64)
         weights.flags.writeable = False
 
-        self.atoms: tuple[Atom, ...] = tuple(atoms)
-        self.n_facts: int = len(facts)
+        self.atoms: tuple[Atom, ...] = atoms
+        self.n_facts: int = n_facts
         self.n_atoms: int = len(atoms)
-        self.n_conj: int = len(ground_rules)
+        self.n_conj: int = len(heads)
         self.weights: np.ndarray = weights
         self.n_rules: int = len(weights)
         self.defines_target: bool = defines_target
         self.depth: int | None = depth
-        self.target_atoms: tuple[int, ...] = tuple(
-            i
-            for i, a in enumerate(atoms)
-            if a.predicate.name == "target" and a.predicate.arity == 1
-        )
+        self.target_atoms: tuple[int, ...] = target_atoms
 
-        self.conj_head = np.array(head_idx, dtype=np.int64)
-        self.conj_rule = np.array(rule_idx, dtype=np.int64)
+        self.conj_head = np.array(heads, dtype=np.int64)
+        self.conj_rule = np.array(rules, dtype=np.int64)
         self.body_counts = np.array(body_counts, dtype=np.int64)
         # The body atoms followed by one atom slot past the graph's atoms,
         # where the reasoner keeps the sentinel 1.0: gathering the
@@ -489,6 +490,36 @@ class ReasoningGraph:
         # The group, an index into updated_atoms, of each grouped
         # conjunction.
         self.group_of = np.array(group_of, dtype=np.int64)
+
+    def cut(self, conj_ids) -> tuple[ReasoningGraph, np.ndarray]:
+        """The conjunctions ``conj_ids``, in order, as a graph one round
+        deep, and the node ids here of its facts: their body atoms in
+        first-use order, the heads following. Rule indices, weight slots
+        and target atoms carry over. Raises ValueError if a head is also a
+        body atom, which one round would not reach."""
+        starts, counts = self.body_starts.tolist(), self.body_counts.tolist()
+        body_atoms, heads = self.body_atoms.tolist(), self.conj_head.tolist()
+        rules = self.conj_rule.tolist()
+        new: dict[int, int] = {}  # node id here -> node id in the cut
+        body_flat = [
+            new.setdefault(a, len(new))
+            for c in conj_ids
+            for a in body_atoms[starts[c] : starts[c] + counts[c]]
+        ]
+        n_facts = len(new)
+        cut_heads = [new.setdefault(heads[c], len(new)) for c in conj_ids]
+        for c, h in zip(conj_ids, cut_heads):
+            if h < n_facts:
+                raise ValueError(f"conjunction {c} derives a body atom of the cut")
+        ids, targets = list(new), set(self.target_atoms)
+        graph = ReasoningGraph.__new__(ReasoningGraph)
+        graph._build(
+            tuple(self.atoms[i] for i in ids), n_facts, cut_heads,
+            [rules[c] for c in conj_ids], body_flat,
+            [counts[c] for c in conj_ids], self.weights, self.defines_target,
+            1, tuple(j for j, i in enumerate(ids) if i in targets),
+        )
+        return graph, np.array(ids[:n_facts], dtype=np.int64)
 
     def __repr__(self) -> str:
         return (

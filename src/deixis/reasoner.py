@@ -50,6 +50,7 @@ read once before the loop, and derived atoms are updated in place.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,9 +90,10 @@ class ReasonerConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.gamma < math.inf:
+        if not sys.float_info.min <= self.gamma < math.inf:
             raise ValueError(
-                f"gamma must be positive and finite, got {self.gamma}"
+                f"gamma must be positive and finite, at least "
+                f"{sys.float_info.min}, got {self.gamma}"
             )
         if self.steps < 1:
             raise ValueError(f"steps must be at least 1, got {self.steps}")

@@ -20,8 +20,9 @@ theta reaches only the merge rules, and no rule body reads target/1, so
 every atom below target is the same on every pass (activity analysis, as
 in Hascoët and Pascual, "The Tapenade automatic differentiation tool",
 ACM TOMS 2013). An example's first pass under a reasoner config runs its
-whole graph; once the config reaches the graph's proof depth, every later
-pass runs only the merge layer, with the same bits.
+whole graph; once the config reaches the graph's proof depth, that pass
+selects the merge layer out of the graph's index arrays at its final
+valuation, and every later pass runs only that cut, with the same bits.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .datasets import DeicticInstance
 from .evaluation import EvalConfig, evaluate_instances
-from .grounding import GroundRule, ReasoningGraph, build_reasoning_graph
+from .grounding import ReasoningGraph, build_reasoning_graph
 from .logic import Atom, FactSet, Predicate, Program, Rule, Term, render_rule
 from .reasoner import (
     ReasonerConfig,
@@ -121,15 +122,7 @@ class TrainConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "steps": self.steps,
-            "batch_size": self.batch_size,
-            "iou_threshold": self.iou_threshold,
-            "rmsprop_alpha": self.rmsprop_alpha,
-            "rmsprop_eps": self.rmsprop_eps,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def specialize_program(program: Program) -> Program:
@@ -274,10 +267,6 @@ def _source_graphs(
         ) from None
 
 
-def _source_tags(n_sources: int) -> list[str]:
-    return [f"sgg{k}" for k in range(1, n_sources + 1)]
-
-
 def mixture_facts(
     sources: tuple[str, ...],
     scene_graphs: dict[str, SceneGraph],
@@ -292,8 +281,8 @@ def mixture_facts(
     """
     graphs = _source_graphs(sources, scene_graphs)
     parts = [
-        scene_graph_to_facts(sg, program, tag=tag)
-        for sg, tag in zip(graphs, _source_tags(len(graphs)))
+        scene_graph_to_facts(sg, program, tag=f"sgg{k}")
+        for k, sg in enumerate(graphs, 1)
     ]
     # Every fact ends in its source's tag, so sources never share a fact.
     facts = FactSet.pool(part for part, _ in parts)
@@ -307,9 +296,8 @@ class _GroundedExample:
     merge_indices: np.ndarray
     extraction_sg: SceneGraph
     answer_boxes: list[Box]
-    # Per reasoner config that reaches the graph's proof depth: the final
-    # valuation of the first pass, then the merge layer cut from it as
-    # (graph, fact values).
+    # Per reasoner config that reaches the graph's proof depth: the merge
+    # layer cut at the first pass's final valuation, as (graph, fact values).
     kept: dict = field(default_factory=dict, repr=False)
 
 
@@ -335,38 +323,16 @@ def _merge_layer(
     graph: ReasoningGraph, valuation: np.ndarray
 ) -> tuple[ReasoningGraph, np.ndarray]:
     """The conjunctions that derive target/1 atoms, cut from a grounded
-    graph into a graph one round deep, and its fact values: the body atoms
-    of those conjunctions at their values in ``valuation``, the graph's
-    final valuation.
-
-    No rule body reads target/1, so those body atoms are final, and one
-    round gives each target atom the bits the whole graph gives it: the
-    conjunctions keep their order and rule indices, and the cut keeps
-    every rule's weight slot, so the merge indices name the same rules.
+    graph, and the cut's fact values at ``valuation``, the graph's final
+    valuation. No rule body reads target/1, so those values are final, and
+    one round gives each target atom the whole graph's bits: the cut keeps
+    the conjunctions' order, rule indices and weight slots.
     """
     targets = set(graph.target_atoms)
-    starts, counts = graph.body_starts.tolist(), graph.body_counts.tolist()
-    body_atoms, rules = graph.body_atoms.tolist(), graph.conj_rule.tolist()
-    ground_rules = []
-    body_ids: dict[int, None] = {}
-    for c, head in enumerate(graph.conj_head.tolist()):
-        if head in targets:
-            body = body_atoms[starts[c] : starts[c] + counts[c]]
-            body_ids.update(dict.fromkeys(body))
-            ground_rules.append(
-                GroundRule(
-                    graph.atoms[head], tuple(graph.atoms[i] for i in body), rules[c]
-                )
-            )
-    ids = list(body_ids)
-    cut = ReasoningGraph(
-        ground_rules,
-        FactSet(graph.atoms[i] for i in ids),
-        graph.weights,
-        defines_target=graph.defines_target,
-        depth=1,
+    cut, fact_ids = graph.cut(
+        [c for c, head in enumerate(graph.conj_head.tolist()) if head in targets]
     )
-    return cut, valuation[ids]
+    return cut, valuation[fact_ids]
 
 
 def _reason(
@@ -379,22 +345,22 @@ def _reason(
     graph it ran on and what :func:`forward` returned.
 
     The first pass runs the whole graph. When ``reasoner_cfg.steps``
-    reaches the graph's proof depth, that pass keeps its final valuation,
-    and every later pass runs only the merge layer cut from it
-    (:func:`_merge_layer`).
+    reaches the graph's proof depth, that pass cuts the merge layer at its
+    final valuation (:func:`_merge_layer`), and every later pass runs only
+    that cut.
     """
     graph, fact_values = grounded.graph, grounded.fact_values
     replay = graph.depth is not None and reasoner_cfg.steps >= graph.depth
     kept = grounded.kept.get(reasoner_cfg) if replay else None
     if kept is not None:
-        if isinstance(kept, np.ndarray):
-            kept = grounded.kept[reasoner_cfg] = _merge_layer(graph, kept)
         graph, fact_values = kept
     weights = graph.weights.copy()
     weights[grounded.merge_indices] = w
     result = forward(graph, fact_values, weights, reasoner_cfg, record=record)
     if replay and kept is None:
-        grounded.kept[reasoner_cfg] = result[0] if record else result
+        grounded.kept[reasoner_cfg] = _merge_layer(
+            graph, result[0] if record else result
+        )
     return graph, result
 
 

@@ -1,12 +1,17 @@
 """End-to-end command-line pipeline tests (all offline)."""
 
+import contextlib
+import copy
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import deixis
 
@@ -595,6 +600,23 @@ def test_eval_rejects_non_finite_gamma(tmp_path, graphs_file, capsys):
     assert capsys.readouterr().err.startswith("error: gamma must be")
 
 
+def test_reason_rejects_a_gamma_whose_reciprocal_overflows(tmp_path, capsys):
+    # The soft OR divides by gamma: at 1e-320 numpy would overflow and warn.
+    path = tmp_path / "graphs.json"
+    path.write_text(json.dumps([_one_scene()]))
+    code = main(
+        [
+            "reason", "--scene-graphs", str(path),
+            "--structured", '[["on", "man"]]', "--gamma", "1e-320",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: gamma must be positive and finite, at least "
+        f"{sys.float_info.min}, got 1e-320\n"
+    )
+
+
 def test_train_rejects_non_finite_lr(tmp_path, graphs_file, capsys):
     data = _synth_instances(tmp_path, graphs_file, 8)
     capsys.readouterr()
@@ -881,3 +903,64 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, data_dir):
     ])
     for name in first:
         assert first[name] == second[name], name
+
+
+# What the fuzz test puts in place of a value; _DELETE removes the key.
+_DELETE = object()
+_FUZZ_VALUES = (
+    None, True, False, math.nan, math.inf, -math.inf, 2**70, "x", "1", [],
+    [1], {}, {"object_id": 1}, _DELETE,
+)
+
+
+def _json_paths(node, path=()):
+    """The path of every value below ``node``, a JSON tree."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _reject_constant(name):
+    raise ValueError(f"output holds {name}, which is not JSON")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_reason_on_a_mutated_scene_graph_exits_0_or_2(tmp_path_factory, data):
+    """One or two values of a scene-graph file replaced by a value of
+    another type, a non-finite or huge number, or deleted: reason exits 0
+    with strict JSON on stdout, or 2, never with an internal error."""
+    scenes = [_one_scene(lambda g: g["relations"][0].update(confidence=0.9))]
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        paths = list(_json_paths(scenes))
+        if not paths:
+            break
+        *parents, key = data.draw(st.sampled_from(paths), label="path")
+        node = scenes
+        for k in parents:
+            node = node[k]
+        value = data.draw(st.sampled_from(_FUZZ_VALUES), label="value")
+        if value is _DELETE:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(value)
+    path = tmp_path_factory.mktemp("fuzz") / "graphs.json"
+    path.write_text(json.dumps(scenes))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(
+            [
+                "reason", "--scene-graphs", str(path),
+                "--structured", '[["on", "man"]]',
+            ]
+        )
+    assert code in (0, 2), err.getvalue()
+    assert "internal error" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

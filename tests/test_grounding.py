@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from deixis import grounding
 from deixis.grounding import (
     GroundingTooLarge,
+    ReasoningGraph,
     _plan,
     _shape,
     build_reasoning_graph,
@@ -433,3 +434,85 @@ def test_reasoning_graph_index_arrays_match_numpy_reference(case):
         got = getattr(graph, name)
         assert got.dtype == np.int64, name
         assert np.array_equal(got, want), name
+
+
+def assert_same_graph(got, want):
+    """Every field of two reasoning graphs is equal, arrays under
+    np.array_equal and with their dtypes."""
+    for name in (
+        "atoms", "n_facts", "n_atoms", "n_conj", "n_rules", "defines_target",
+        "depth", "target_atoms",
+    ):
+        assert getattr(got, name) == getattr(want, name), name
+    for name in (
+        "conj_head", "conj_rule", "body_counts", "body_gather", "body_atoms",
+        "body_starts", "slot_conj", "body_reduce_starts", "grouped_conj",
+        "updated_atoms", "group_starts", "group_of", "weights",
+    ):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert not got.weights.flags.writeable
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs_and_facts(), st.data())
+def test_the_core_and_the_cut_build_what_the_ground_rules_build(case, data):
+    """A graph rebuilt through the core from its own arrays equals it, and
+    a cut of any conjunctions equals the graph built from their ground
+    rules over their body atoms, in first-use order, as facts; a cut in
+    which a head feeds a selected conjunction raises. r/1 is renamed
+    target/1, so graphs hold target atoms to renumber."""
+    program, facts = case
+    target = {Predicate("r", 1): Predicate("target", 1)}
+
+    def rename(a: Atom) -> Atom:
+        return Atom(target.get(a.predicate, a.predicate), a.args)
+
+    program = Program(tuple(
+        Rule(rename(r.head), tuple(map(rename, r.body)), r.weight)
+        for r in program.rules
+    ))
+    facts = FactSet(map(rename, facts))
+    ground = ground_program(program, facts)
+    graph = build_reasoning_graph(program, facts)
+    rebuilt = ReasoningGraph.__new__(ReasoningGraph)
+    rebuilt._build(
+        graph.atoms, graph.n_facts, graph.conj_head.tolist(),
+        graph.conj_rule.tolist(), graph.body_atoms.tolist(),
+        graph.body_counts.tolist(), graph.weights, graph.defines_target,
+        graph.depth, graph.target_atoms,
+    )
+    assert_same_graph(rebuilt, graph)
+
+    conj_ids = data.draw(
+        st.lists(st.sampled_from(range(graph.n_conj)), min_size=1, unique=True)
+        if graph.n_conj else st.just([])
+    )
+    rules = [ground[c] for c in conj_ids]
+    body = list(dict.fromkeys(a for gr in rules for a in gr.body))
+    if {gr.head for gr in rules} & set(body):
+        with pytest.raises(ValueError, match="a body atom of the cut"):
+            graph.cut(conj_ids)
+        return
+    cut, fact_ids = graph.cut(conj_ids)
+    want = ReasoningGraph(
+        rules, FactSet(body), graph.weights, graph.defines_target, depth=1
+    )
+    assert_same_graph(cut, want)
+    assert fact_ids.dtype == np.int64
+    assert [graph.atoms[i] for i in fact_ids] == body
+
+
+def test_cut_refuses_a_head_that_feeds_the_cut():
+    # cond1(obj1) heads conjunction 0 and is a body atom of conjunction 2,
+    # so one round over the cut would not reach target(obj1).
+    graph = build_reasoning_graph(parse_program(PROGRAM_1), boat_scene_facts())
+    with pytest.raises(ValueError, match="conjunction 0 derives a body atom"):
+        graph.cut([2, 0])
+    cut, fact_ids = graph.cut([0, 1])
+    assert repr(cut) == "ReasoningGraph(6 atoms, 2 conjunctions, 4 facts)"
+    assert cut.depth == 1 and cut.target_atoms == ()
+    assert [str(graph.atoms[i]) for i in fact_ids] == [
+        "on(obj1,obj2)", "type(obj2,boat)", "holding(obj1,obj3)",
+        "type(obj3,umbrella)",
+    ]
