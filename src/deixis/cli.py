@@ -635,7 +635,9 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _check_required_settings(args: argparse.Namespace) -> None:
+def _check_settings(args: argparse.Namespace) -> None:
+    """Every required setting is given and every seed is an integer of at
+    least 0, whether a value came from a flag or from --config."""
     missing = [
         f"--{dest.replace('_', '-')}"
         for dest in _REQUIRED_SETTINGS[args.command]
@@ -650,6 +652,13 @@ def _check_required_settings(args: argparse.Namespace) -> None:
             "missing required settings: " + ", ".join(missing)
             + " (pass flags or put them in --config)"
         )
+    for dest in ("seed", "corrupt_seed"):
+        value, flag = getattr(args, dest, 0), f"--{dest.replace('_', '-')}"
+        # --config can give any JSON value; null would seed from entropy.
+        if value.__class__ is not int:
+            raise ValueError(f"{flag} must be an integer, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{flag} must be at least 0, got {value}")
 
 
 def main(argv=None) -> int:
@@ -659,7 +668,7 @@ def main(argv=None) -> int:
         config = load_config_file(config_path) if config_path else None
         parser = build_parser(config)
         args = parser.parse_args(argv)
-        _check_required_settings(args)
+        _check_settings(args)
         return args.func(args)
     except DimensionMismatch as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -29,8 +29,8 @@ graph without a depth bound (a recursive program).
 
 ``forward`` takes one value per input fact (the graph's first ``n_facts``
 atoms) and starts every other atom at 0.  ``forward(record=True)`` also
-returns a tape: the graph, the config, a read-only copy of the weights,
-and for each round what the reverse sweep reads.  That is the padded body
+returns a tape: the graph, a read-only copy of the weights, and for each
+round what the reverse sweep reads.  That is the padded body
 values and the products of the soft AND, the clamp mask, and the gradient
 shares of the round's soft ORs, which forward takes from the exponentials
 it has already computed (each input's shifted exponential over the
@@ -81,7 +81,8 @@ class ReasonerConfig:
         Rounds past a graph's proof depth change nothing, so forward
         stops there (see ``ReasoningGraph.depth``).
     target_threshold:  minimum score for an object to count as a target.
-    rng_seed:  seed for the fallback draw when no generator is supplied.
+    rng_seed:  seed (at least 0) for the fallback draw when no generator is
+        supplied.
     """
 
     gamma: float = 0.01
@@ -101,6 +102,8 @@ class ReasonerConfig:
             raise ValueError(
                 f"target_threshold must be in [0, 1], got {self.target_threshold}"
             )
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def softor(values, gamma: float) -> float:
@@ -174,13 +177,12 @@ class _RoundRecord:
 @dataclass
 class Tape:
     """Forward-pass recording that backward() replays in reverse: the graph
-    and config it ran under, a read-only copy of its weights, and one
+    it ran on, a read-only copy of its weights, and one
     :class:`_RoundRecord` per round. A round keeps no conjunction state, and
     its record holds the gradient shares of its one soft OR per head, so
     backward evaluates no soft OR again."""
 
     graph: ReasoningGraph
-    cfg: ReasonerConfig
     weights: np.ndarray
     rounds: list[_RoundRecord] = field(default_factory=list)
 
@@ -234,7 +236,7 @@ def forward(
     if record:
         weights = weights.copy()
         weights.flags.writeable = False
-        tape = Tape(graph, cfg, weights)
+        tape = Tape(graph, weights)
 
     rounds = cfg.steps if graph.depth is None else min(cfg.steps, graph.depth)
     for _ in range(rounds):

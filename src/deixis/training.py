@@ -20,9 +20,9 @@ theta reaches only the merge rules, and no rule body reads target/1, so
 every atom below target is the same on every pass (activity analysis, as
 in Hascoët and Pascual, "The Tapenade automatic differentiation tool",
 ACM TOMS 2013). An example's first pass under a reasoner config runs its
-whole graph; once the config reaches the graph's proof depth, that pass
-selects the merge layer out of the graph's index arrays at its final
-valuation, and every later pass runs only that cut, with the same bits.
+whole graph and is taped; it cuts the merge layer out of the graph's
+index arrays at the values its last round read, and every later pass
+runs only that cut, with the same bits at any round count.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ import numpy as np
 from .datasets import DeicticInstance
 from .evaluation import EvalConfig, evaluate_instances
 from .grounding import ReasoningGraph, build_reasoning_graph
-from .logic import Atom, FactSet, Predicate, Program, Rule, Term, render_rule
+from .logic import Atom, FactSet, Predicate, Program, Rule, Term
 from .reasoner import (
     ReasonerConfig,
+    Tape,
     TargetPrediction,
     backward,
     extract_targets,
@@ -48,7 +49,6 @@ from .reasoner import (
 from .scene import Box, SceneGraph, scene_graph_to_facts, tagged_predicate
 
 _BCE_EPS = 1e-7
-_TARGET = Predicate("target", 1)
 
 
 def sigmoid(x):
@@ -120,6 +120,8 @@ class TrainConfig:
             raise ValueError(
                 f"rmsprop_eps must be positive and finite, got {self.rmsprop_eps}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -179,7 +181,8 @@ def make_merge_rules(n_sources: int) -> tuple[Rule, ...]:
 
 @dataclass
 class MixtureTask:
-    """The named sources, their merge rules, and the parameters theta.
+    """The named sources and the parameters theta, one per source: the
+    weight of the source's merge rule (:func:`make_merge_rules`).
 
     A task grounds each example once (:meth:`grounded`) and keeps the
     result, so training and every evaluation of a run share one grounding
@@ -187,7 +190,6 @@ class MixtureTask:
     """
 
     sources: tuple[str, ...]
-    program_template: Program
     params: np.ndarray
     # id(example) -> (example, its grounding). The entry holds the example,
     # so its id cannot be reused by another object while it is cached.
@@ -205,23 +207,6 @@ class MixtureTask:
                 f"params shape {self.params.shape} does not match "
                 f"{len(self.sources)} sources"
             )
-        merge = [
-            r for r in self.program_template.rules
-            if r.head.predicate.name == "target"
-        ]
-        if len(merge) != len(self.sources):
-            raise ValueError(
-                f"expected one merge rule per source "
-                f"({len(self.sources)}), found {len(merge)}"
-            )
-        # Replaying only the merge layer is exact only while the target
-        # atoms, the one place theta reaches, feed no other atom.
-        for rule in self.program_template.rules:
-            if any(b.predicate == _TARGET for b in rule.body):
-                raise ValueError(
-                    f"template rule {render_rule(rule)} reads target/1; "
-                    f"no rule of a mixture may read it"
-                )
 
     @property
     def weights(self) -> np.ndarray:
@@ -237,14 +222,10 @@ class MixtureTask:
 
 
 def make_mixture_task(sources, init: float = 0.0) -> MixtureTask:
-    """Standard task setup: merge rules over the named sources, theta
-    initialized to a constant (0 gives every source weight 0.5)."""
+    """Standard task setup: the named sources, theta initialized to a
+    constant (0 gives every source weight 0.5)."""
     sources = tuple(sources)
-    return MixtureTask(
-        sources=sources,
-        program_template=Program(make_merge_rules(len(sources))),
-        params=np.full(len(sources), float(init)),
-    )
+    return MixtureTask(sources=sources, params=np.full(len(sources), float(init)))
 
 
 @dataclass(frozen=True)
@@ -291,48 +272,49 @@ def mixture_facts(
 
 @dataclass
 class _GroundedExample:
+    """An example's graph: its specialized program, then one merge rule
+    per source, so theta binds to the last ``len(sources)`` weight slots."""
+
     graph: ReasoningGraph
     fact_values: np.ndarray
-    merge_indices: np.ndarray
     extraction_sg: SceneGraph
     answer_boxes: list[Box]
-    # Per reasoner config that reaches the graph's proof depth: the merge
-    # layer cut at the first pass's final valuation, as (graph, fact values).
+    # Per reasoner config: the merge layer cut by the first pass, at the
+    # values its last round read, as (graph, fact values).
     kept: dict = field(default_factory=dict, repr=False)
 
 
 def _ground_example(task: MixtureTask, example: TrainingExample) -> _GroundedExample:
-    specialized = specialize_program(example.program)
-    combined = Program(specialized.rules + task.program_template.rules)
-    merge_offset = len(specialized.rules)
-    facts, fact_values = mixture_facts(task.sources, example.scene_graphs, combined)
-    graph = build_reasoning_graph(combined, facts)
-    merge_indices = np.arange(
-        merge_offset, merge_offset + len(task.sources), dtype=np.int64
+    combined = Program(
+        specialize_program(example.program).rules
+        + make_merge_rules(len(task.sources))
     )
+    facts, fact_values = mixture_facts(task.sources, example.scene_graphs, combined)
     return _GroundedExample(
-        graph=graph,
+        graph=build_reasoning_graph(combined, facts),
         fact_values=fact_values,
-        merge_indices=merge_indices,
         extraction_sg=example.scene_graphs[task.sources[0]],
         answer_boxes=[a.box for a in example.instance.answers],
     )
 
 
 def _merge_layer(
-    graph: ReasoningGraph, valuation: np.ndarray
+    graph: ReasoningGraph, tape: Tape
 ) -> tuple[ReasoningGraph, np.ndarray]:
     """The conjunctions that derive target/1 atoms, cut from a grounded
-    graph, and the cut's fact values at ``valuation``, the graph's final
-    valuation. No rule body reads target/1, so those values are final, and
-    one round gives each target atom the whole graph's bits: the cut keeps
-    the conjunctions' order, rule indices and weight slots.
+    graph, and the cut's fact values: what the taped pass's last round
+    read. No rule body reads target/1, so that round's update of each
+    target atom is its last, and one round of the cut gives it the whole
+    graph's bits at any round count: the cut keeps the conjunctions'
+    order, rule indices and weight slots.
     """
     targets = set(graph.target_atoms)
     cut, fact_ids = graph.cut(
         [c for c, head in enumerate(graph.conj_head.tolist()) if head in targets]
     )
-    return cut, valuation[fact_ids]
+    read = np.empty(graph.n_atoms + 1, dtype=np.float64)
+    read[graph.body_gather] = tape.rounds[-1].body_vals
+    return cut, read[fact_ids]
 
 
 def _reason(
@@ -342,26 +324,23 @@ def _reason(
     record: bool = False,
 ):
     """One reasoner pass over an example with merge weights ``w``: the
-    graph it ran on and what :func:`forward` returned.
+    graph it ran on, its final valuation, and its tape, None if the pass
+    ran untaped. A pass is taped when ``record`` is true.
 
-    The first pass runs the whole graph. When ``reasoner_cfg.steps``
-    reaches the graph's proof depth, that pass cuts the merge layer at its
-    final valuation (:func:`_merge_layer`), and every later pass runs only
+    The first pass under a config runs the whole graph, taped, and cuts
+    the merge layer (:func:`_merge_layer`); every later pass runs only
     that cut.
     """
-    graph, fact_values = grounded.graph, grounded.fact_values
-    replay = graph.depth is not None and reasoner_cfg.steps >= graph.depth
-    kept = grounded.kept.get(reasoner_cfg) if replay else None
-    if kept is not None:
-        graph, fact_values = kept
+    kept = grounded.kept.get(reasoner_cfg)
+    graph, fact_values = kept or (grounded.graph, grounded.fact_values)
     weights = graph.weights.copy()
-    weights[grounded.merge_indices] = w
-    result = forward(graph, fact_values, weights, reasoner_cfg, record=record)
-    if replay and kept is None:
-        grounded.kept[reasoner_cfg] = _merge_layer(
-            graph, result[0] if record else result
-        )
-    return graph, result
+    weights[-w.size :] = w
+    taped = record or kept is None
+    result = forward(graph, fact_values, weights, reasoner_cfg, record=taped)
+    valuation, tape = result if taped else (result, None)
+    if kept is None:
+        grounded.kept[reasoner_cfg] = _merge_layer(graph, tape)
+    return graph, valuation, tape
 
 
 def _example_loss_and_grad(
@@ -385,7 +364,7 @@ def _loss_and_grad(
     rng: np.random.Generator,
 ) -> tuple[float, np.ndarray]:
     """:func:`_example_loss_and_grad` at the merge weights w = sigmoid(theta)."""
-    graph, (v_final, tape) = _reason(grounded, w, reasoner_cfg, record=True)
+    graph, v_final, tape = _reason(grounded, w, reasoner_cfg, record=True)
     predictions = extract_targets(
         graph, v_final, grounded.extraction_sg, reasoner_cfg, rng=rng
     )
@@ -407,7 +386,7 @@ def _loss_and_grad(
         return loss, np.zeros_like(w)
 
     grad_weights, _ = backward(tape, loss_grad)
-    grad_theta = grad_weights[grounded.merge_indices] * w * (1.0 - w)
+    grad_theta = grad_weights[-w.size :] * w * (1.0 - w)
     return loss, grad_theta
 
 
@@ -443,7 +422,7 @@ def evaluate_mixture(
     instances = []
     for example in data:
         grounded = task.grounded(example)
-        graph, v_final = _reason(grounded, w, reasoner_cfg)
+        graph, v_final, _ = _reason(grounded, w, reasoner_cfg)
         predictions = extract_targets(
             graph, v_final, grounded.extraction_sg, reasoner_cfg, rng=rng
         )

@@ -775,6 +775,45 @@ def test_train_rejects_bad_split_flags(tmp_path, graphs_file, capsys, flag, valu
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, from_config",
+    [("reason", "--seed", -1, False), ("synth", "--seed", -1, False),
+     ("train", "--seed", -1, False), ("train", "--corrupt-seed", -100000, False),
+     ("eval", "--seed", -1, False), ("eval", "--seed", -1, True),
+     ("train", "--corrupt-seed", -3, True), ("reason", "--seed", None, True),
+     ("train", "--seed", 1.5, True)],
+)
+def test_a_bad_seed_names_its_flag(
+    tmp_path, graphs_file, data_dir, capsys, command, flag, value, from_config
+):
+    data = _synth_instances(tmp_path, graphs_file, 8)
+    out = tmp_path / "out"
+    argv = {
+        "reason": ["--scene-graphs", str(data_dir / "scene_graphs.json"),
+                   "--structured", '[["on", "barge"]]', "--output", str(out)],
+        "synth": ["--kind", "deivg", "--n", "3", "--output", str(out)],
+        "train": ["--data", str(data), "--scene-graphs", str(graphs_file),
+                  "--out-dir", str(out), "--steps", "1",
+                  "--train-n", "4", "--val-n", "2", "--test-n", "2"],
+        "eval": ["--data", str(data), "--scene-graphs", str(graphs_file),
+                 "--output", str(out)],
+    }[command]
+    if from_config:
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({flag[2:]: value}))
+        argv += ["--config", str(config)]
+    else:
+        argv += [flag, str(value)]
+    capsys.readouterr()
+    assert main([command, *argv]) == 2
+    wanted = (
+        f"must be at least 0, got {value}" if isinstance(value, int)
+        else f"must be an integer, got {value!r}"
+    )
+    assert capsys.readouterr().err == f"error: {flag} {wanted}\n"
+    assert not out.exists()
+
+
 def test_offline_pipeline_touches_no_sockets(
     tmp_path, data_dir, no_network, capsys
 ):

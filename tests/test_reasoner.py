@@ -484,7 +484,7 @@ def test_tape_keeps_the_weights_forward_ran_with():
     assert not tape.weights.flags.writeable
     with pytest.raises(ValueError):
         tape.weights[0] = 0.0
-    assert tape.graph is graph and tape.cfg is cfg
+    assert tape.graph is graph
     assert len(tape.rounds) == cfg.steps
 
 
@@ -583,3 +583,8 @@ def test_forward_stays_in_unit_interval(seed):
 def test_reasoner_config_rejects_gamma_that_is_not_positive_and_finite(gamma):
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
         ReasonerConfig(gamma=gamma)
+
+
+def test_reasoner_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
+        ReasonerConfig(rng_seed=-1)

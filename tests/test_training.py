@@ -3,7 +3,6 @@
 import functools
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -16,12 +15,11 @@ from deixis.datasets import (
     random_scene_graphs,
     synthesize_deivg,
 )
-from deixis.logic import Program, atom, parse_program, render_program
+from deixis.logic import parse_program, render_program
 from deixis.reasoner import ReasonerConfig, extract_targets
 from deixis.rulegen import template_rulegen
-from deixis.scene import Box, SceneGraph, SceneObject
+from deixis.scene import Box, SceneGraph, SceneObject, SceneRelation
 from deixis.training import (
-    MixtureTask,
     TrainConfig,
     TrainingExample,
     _example_loss_and_grad,
@@ -30,7 +28,6 @@ from deixis.training import (
     bce_loss,
     evaluate_mixture,
     label_predictions,
-    make_merge_rules,
     make_mixture_task,
     mixture_facts,
     save_checkpoint,
@@ -59,18 +56,24 @@ def test_mixture_task_shapes():
     task = make_mixture_task(("ground_truth", "corrupted"))
     assert task.params.shape == (2,)
     np.testing.assert_allclose(task.weights, [0.5, 0.5])
-    merge = render_program(task.program_template)
-    assert "target(X):-targetSgg(X,sgg1)." in merge
-    assert "target(X):-targetSgg(X,sgg2)." in merge
-
-
-def test_mixture_task_rejects_a_rule_that_reads_target():
-    # Training replays only the merge layer, which is exact only while no
-    # other atom reads the target atoms.
-    reader = parse_program("top(X):-target(X),mark(X).").rules
-    template = Program(make_merge_rules(2) + reader)
-    with pytest.raises(ValueError, match=re.escape("top(X):-target(X),mark(X).")):
-        MixtureTask(("ground_truth", "corrupted"), template, np.zeros(2))
+    example = replay_examples()[1]
+    graph = _ground_example(task, example).graph
+    # The specialized program's rules come first, then one merge rule per
+    # source, so theta binds to the last weight slots.
+    n_rules = len(example.program.rules)
+    assert graph.n_rules == n_rules + 2
+    merged = set()
+    for c, rule in enumerate(graph.conj_rule.tolist()):
+        start, count = graph.body_starts[c], graph.body_counts[c]
+        head = str(graph.atoms[graph.conj_head[c]])
+        body = [str(graph.atoms[a]) for a in graph.body_atoms[start : start + count]]
+        is_target = head.startswith("target(")
+        assert is_target == (rule >= n_rules)
+        if is_target:
+            constant = head[len("target(") : -1]
+            assert body == [f"targetSgg({constant},sgg{rule - n_rules + 1})"]
+            merged.add(rule - n_rules)
+    assert merged == {0, 1}
 
 
 def test_mixture_facts_tags_sources():
@@ -113,6 +116,8 @@ def test_train_config_rejects_negative_lr_and_steps():
         TrainConfig(lr=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(steps=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
 
 
 @pytest.mark.parametrize("field", ["lr", "rmsprop_eps"])
@@ -289,38 +294,14 @@ def replay_examples():
     return make_training_data(n_graphs=20, seed=5)
 
 
-@pytest.mark.filterwarnings(
-    "ignore::deixis.datasets.InsufficientCandidatesWarning"
-)
-@settings(max_examples=60, deadline=None)
-@given(
-    index=st.integers(0, 19),
-    sources=st.sampled_from([
-        ("ground_truth",),
-        ("corrupted",),
-        ("ground_truth", "corrupted"),
-        ("corrupted", "ground_truth"),
-    ]),
-    theta=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2),
-    steps=st.integers(1, 6),
-    gamma=st.floats(0.01, 0.2),
-)
-# Nothing is derivable from the one source, so the merge layer is empty.
-@example(index=10, sources=("corrupted",), theta=[0.0, 0.0], steps=3, gamma=0.1)
-def test_a_replayed_pass_matches_the_whole_graph(index, sources, theta, steps, gamma):
-    """From an example's second pass on, a config that reaches the proof
-    depth runs only the merge layer, and it gives the whole graph's
-    predictions, loss and theta gradient bit for bit. Below the depth no
-    pass replays."""
-    examples = replay_examples()
-    example = examples[index % len(examples)]
-    task = make_mixture_task(sources)
-    theta = np.array(theta[: len(sources)])
+def assert_replay_matches(task, example, theta, cfg):
+    """From an example's second pass on, only the merge layer runs, and it
+    gives the whole graph's predictions, loss and theta gradient bit for
+    bit. Returns the grounding the passes ran on."""
     w = sigmoid(theta)
-    cfg = ReasonerConfig(gamma=gamma, steps=steps)
 
     def predictions(grounded):
-        graph, v = _reason(grounded, w, cfg)
+        graph, v, _ = _reason(grounded, w, cfg)
         found = extract_targets(
             graph, v, grounded.extraction_sg, cfg, rng=np.random.default_rng(0)
         )
@@ -343,8 +324,114 @@ def test_a_replayed_pass_matches_the_whole_graph(index, sources, theta, steps, g
     graph, got = predictions(primed)
     assert got == want
     assert loss_and_grad(primed) == want_loss
-    if steps >= primed.graph.depth:
-        assert graph is not primed.graph and graph.depth == 1
-        assert graph.n_conj <= primed.graph.n_conj
-    else:
-        assert graph is primed.graph and not primed.kept
+    assert graph is not primed.graph and graph.depth == 1
+    assert graph.n_conj <= primed.graph.n_conj
+    return primed
+
+
+@pytest.mark.filterwarnings(
+    "ignore::deixis.datasets.InsufficientCandidatesWarning"
+)
+@settings(max_examples=60, deadline=None)
+@given(
+    index=st.integers(0, 19),
+    sources=st.sampled_from([
+        ("ground_truth",),
+        ("corrupted",),
+        ("ground_truth", "corrupted"),
+        ("corrupted", "ground_truth"),
+    ]),
+    theta=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2),
+    steps=st.integers(1, 6),
+    gamma=st.floats(0.01, 0.2),
+)
+# Nothing is derivable from the one source, so the merge layer is empty.
+@example(index=10, sources=("corrupted",), theta=[0.0, 0.0], steps=3, gamma=0.1)
+# Two rounds, one below the proof depth: the last round raised the
+# targetSgg atoms after the target atoms had read them at 0.
+@example(
+    index=1, sources=("ground_truth", "corrupted"), theta=[1.0, -1.0],
+    steps=2, gamma=0.05,
+)
+def test_a_replayed_pass_matches_the_whole_graph(index, sources, theta, steps, gamma):
+    """At every round count, below the proof depth too, a replayed pass
+    matches the whole graph's."""
+    examples = replay_examples()
+    example = examples[index % len(examples)]
+    assert_replay_matches(
+        make_mixture_task(sources),
+        example,
+        np.array(theta[: len(sources)]),
+        ReasonerConfig(gamma=gamma, steps=steps),
+    )
+
+
+REACH = parse_program(
+    "reach(X,Y):-on(X,Y).\n"
+    "reach(X,Z):-reach(X,Y),on(Y,Z).\n"
+    "target(X):-reach(X,Y),type(Y,boat).\n"
+)
+
+
+def reach_scene(n, edges, boats):
+    objects = tuple(
+        SceneObject(i, ("boat" if i in boats else "man",), Box(20 * i, 0, 10, 10))
+        for i in range(1, n + 1)
+    )
+    relations = tuple(
+        SceneRelation(s, "on", o, confidence)
+        for (s, o), confidence in edges.items()
+        if s <= n and o <= n
+    )
+    return SceneGraph(image_id=1, objects=objects, relations=relations)
+
+
+edge_maps = st.dictionaries(
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    st.floats(0.05, 1.0),
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    truth=edge_maps,
+    noisy=edge_maps,
+    boats=st.sets(st.integers(1, 6), max_size=3),
+    answer=st.integers(1, 6),
+    theta=st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=2),
+    steps=st.integers(1, 7),
+    gamma=st.floats(0.01, 0.2),
+)
+# A four-object cycle: reach/2 keeps growing for more rounds than run.
+@example(
+    n=4, truth={(1, 2): 1.0, (2, 3): 0.9, (3, 4): 0.8, (4, 1): 0.7},
+    noisy={(2, 1): 0.5}, boats={4}, answer=1, theta=[0.5, -0.5], steps=2,
+    gamma=0.05,
+)
+def test_a_replayed_pass_matches_the_whole_graph_on_a_recursive_program(
+    n, truth, noisy, boats, answer, theta, steps, gamma
+):
+    """A recursive program has no proof depth, so every pass runs all
+    ``steps`` rounds; the merge layer still reads what the last one read."""
+    scenes = {
+        "ground_truth": reach_scene(n, truth, boats),
+        "corrupted": reach_scene(n, noisy, boats),
+    }
+    target = scenes["ground_truth"].objects[min(answer, n) - 1]
+    instance = DeicticInstance(
+        deictic_prompt="the thing on a boat",
+        answers=(AnswerObject(target.object_id, target.box, target.names),),
+        image_id=1,
+        structured=(("on", "boat"),),
+        complexity=1,
+    )
+    example = TrainingExample(instance, REACH, scenes)
+    primed = assert_replay_matches(
+        make_mixture_task(("ground_truth", "corrupted")),
+        example,
+        np.array(theta),
+        ReasonerConfig(gamma=gamma, steps=steps),
+    )
+    assert primed.graph.depth is None
