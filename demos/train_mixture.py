@@ -58,8 +58,9 @@ def main() -> None:
     def weights(theta):
         return dict(zip(SOURCES, 1.0 / (1.0 + np.exp(-np.asarray(theta)))))
 
-    init_map = evaluate_mixture(task, task.params, test,
-                                reasoner_cfg=reasoner_cfg, eval_cfg=eval_cfg)
+    # Each evaluation draws its fallback boxes from a generator seeded 0.
+    init_map = evaluate_mixture(task, task.params, test, reasoner_cfg, 0,
+                                eval_cfg=eval_cfg)
     w0 = weights(task.params)
     print(f"before training:")
     print(f"  weights: ground_truth {w0['ground_truth']:.3f}  "
@@ -67,10 +68,10 @@ def main() -> None:
     print(f"  test mAP {init_map:.4f}")
 
     cfg = TrainConfig(lr=1e-2, steps=80, seed=7, iou_threshold=0.8)
-    result = train_mixture(task, train, cfg, reasoner_cfg=reasoner_cfg)
+    result = train_mixture(task, train, cfg, reasoner_cfg)
 
-    final_map = evaluate_mixture(task, result.theta, test,
-                                 reasoner_cfg=reasoner_cfg, eval_cfg=eval_cfg)
+    final_map = evaluate_mixture(task, result.theta, test, reasoner_cfg, 0,
+                                 eval_cfg=eval_cfg)
     w = weights(result.theta)
     print(f"after {cfg.steps} steps:")
     print(f"  weights: ground_truth {w['ground_truth']:.3f}  "

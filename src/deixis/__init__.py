@@ -68,7 +68,6 @@ from .rulegen import (
     ServiceError,
     build_prompt,
     generate_program,
-    request_rules,
     template_rulegen,
     validate_rules,
 )
@@ -135,7 +134,7 @@ __all__ = [
     # rulegen
     "FixtureClient", "FormatError", "HttpChatClient", "PromptBundle",
     "RulegenConfig", "ServiceError", "build_prompt", "generate_program",
-    "request_rules", "template_rulegen", "validate_rules",
+    "template_rulegen", "validate_rules",
     # datasets
     "AnswerObject", "ClevrObject", "ClevrScene", "DeicticInstance",
     "InsufficientCandidates", "SchemaError", "clevr_oracle",

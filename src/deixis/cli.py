@@ -136,9 +136,7 @@ def _load_program_for_prompt(args) -> tuple[Program, dict]:
             "pass --structured or --program, supply --llm-fixture, or "
             "enable --online with --llm-url"
         )
-    program, meta = generate_program(
-        args.prompt, cfg, client=client, cot=args.cot
-    )
+    program, meta = generate_program(args.prompt, client, cot=args.cot)
     meta["source"] = "generated"
     return program, meta
 
@@ -155,7 +153,6 @@ def cmd_reason(args) -> int:
         gamma=args.gamma,
         steps=args.steps,
         target_threshold=args.threshold,
-        rng_seed=args.seed,
     )
     rng = np.random.default_rng(args.seed)
 
@@ -352,20 +349,18 @@ def cmd_train(args) -> int:
         iou_threshold=args.iou_threshold,
         seed=args.seed,
     )
-    reasoner_cfg = ReasonerConfig(
-        gamma=args.gamma, steps=args.reason_steps, rng_seed=args.seed
-    )
+    reasoner_cfg = ReasonerConfig(gamma=args.gamma, steps=args.reason_steps)
     task = make_mixture_task(sources)
 
     init_test_map = evaluate_mixture(
-        task, task.params, test_set, reasoner_cfg
+        task, task.params, test_set, reasoner_cfg, args.seed
     )
     result = train_mixture(
-        task, train_set, cfg, val_data=val_set,
-        reasoner_cfg=reasoner_cfg, val_every=args.val_every,
+        task, train_set, cfg, reasoner_cfg,
+        val_data=val_set, val_every=args.val_every,
     )
     final_test_map = evaluate_mixture(
-        task, result.theta, test_set, reasoner_cfg
+        task, result.theta, test_set, reasoner_cfg, args.seed
     )
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -404,14 +399,17 @@ def cmd_train(args) -> int:
 
 
 def _pipeline_predictions(
-    inst: DeicticInstance, sg: SceneGraph, reasoner_cfg: ReasonerConfig
+    inst: DeicticInstance,
+    sg: SceneGraph,
+    reasoner_cfg: ReasonerConfig,
+    seed: int,
 ) -> list[tuple]:
     program = template_rulegen(inst.structured)
     facts, fact_values = scene_graph_to_facts(sg, program)
     graph = build_reasoning_graph(program, facts)
     v_final = forward(graph, fact_values, graph.weights, reasoner_cfg)
-    # A fallback draw seeds from reasoner_cfg.rng_seed afresh per instance.
-    predictions = extract_targets(graph, v_final, sg, reasoner_cfg)
+    # A seed, not a Generator: each instance's fallback draws afresh from it.
+    predictions = extract_targets(graph, v_final, sg, reasoner_cfg, seed)
     return [(p.box, p.score) for p in predictions]
 
 
@@ -432,9 +430,7 @@ def cmd_eval(args) -> int:
             args.scene_graphs, {inst.image_id for inst in instances}
         )
         graphs_by_image = {sg.image_id: sg for sg in graphs}
-        reasoner_cfg = ReasonerConfig(
-            gamma=args.gamma, steps=args.steps, rng_seed=args.seed
-        )
+        reasoner_cfg = ReasonerConfig(gamma=args.gamma, steps=args.steps)
         prediction_sets = []
         for inst in instances:
             if not inst.structured:
@@ -448,7 +444,7 @@ def cmd_eval(args) -> int:
                     f"no scene graph for image {inst.image_id} in the corpus"
                 )
             prediction_sets.append(
-                _pipeline_predictions(inst, sg, reasoner_cfg)
+                _pipeline_predictions(inst, sg, reasoner_cfg, args.seed)
             )
     else:
         raise ValueError("eval needs --predictions or --scene-graphs")
@@ -490,25 +486,6 @@ def load_config_file(path: str) -> dict:
     return {key.replace("-", "_"): value for key, value in data.items()}
 
 
-def _config_path_from_argv(argv: list[str]) -> str | None:
-    """Find --config before argparse runs, so the file's values can be
-    installed as parser defaults (which explicit flags then override)."""
-    path = None
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a file path")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if arg.startswith("--config="):
-            path = arg.split("=", 1)[1]
-        i += 1
-    return path
-
-
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     config = dict(config or {})
     used_keys: set[str] = set()
@@ -522,8 +499,11 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         used_keys.update(matched)
 
     common = argparse.ArgumentParser(add_help=False)
+    # SUPPRESS: a subcommand that is not given --config keeps the one
+    # given before it.
     common.add_argument(
         "--config",
+        default=argparse.SUPPRESS,
         help="JSON file of default settings; explicit flags win",
     )
 
@@ -664,10 +644,11 @@ def _check_settings(args: argparse.Namespace) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config_path = _config_path_from_argv(argv)
-        config = load_config_file(config_path) if config_path else None
-        parser = build_parser(config)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if hasattr(args, "config"):
+            # The file's values become parser defaults, which flags override.
+            config = load_config_file(args.config)
+            args = build_parser(config).parse_args(argv)
         _check_settings(args)
         return args.func(args)
     except DimensionMismatch as exc:

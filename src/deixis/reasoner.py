@@ -81,14 +81,11 @@ class ReasonerConfig:
         Rounds past a graph's proof depth change nothing, so forward
         stops there (see ``ReasoningGraph.depth``).
     target_threshold:  minimum score for an object to count as a target.
-    rng_seed:  seed (at least 0) for the fallback draw when no generator is
-        supplied.
     """
 
     gamma: float = 0.01
     steps: int = 2
     target_threshold: float = 0.2
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if not sys.float_info.min <= self.gamma < math.inf:
@@ -102,8 +99,6 @@ class ReasonerConfig:
             raise ValueError(
                 f"target_threshold must be in [0, 1], got {self.target_threshold}"
             )
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def softor(values, gamma: float) -> float:
@@ -373,7 +368,7 @@ def extract_targets(
     v_final,
     sg: SceneGraph,
     cfg: ReasonerConfig,
-    rng: np.random.Generator | None = None,
+    rng: int | np.random.Generator,
 ) -> list[TargetPrediction]:
     """Read target/1 scores out of a final valuation.
 
@@ -382,8 +377,10 @@ def extract_targets(
     the threshold, including when the program defines target/1 but no
     target atom is derivable, a single uniformly random object with a score
     drawn from ``FALLBACK_SCORE_RANGE`` stands in, flagged as a
-    fallback.  A graph with no target/1 atoms whose program has no target/1
-    rule raises :class:`NoTargetAtoms`.
+    fallback.  ``rng`` is a seed or a ``Generator``, read with
+    ``np.random.default_rng`` on that branch only: a seed draws afresh on
+    each call, a ``Generator`` advances.  A graph with no target/1 atoms
+    whose program has no target/1 rule raises :class:`NoTargetAtoms`.
     """
     v_final = np.asarray(v_final, dtype=np.float64)
     if v_final.shape != (graph.n_atoms,):
@@ -421,8 +418,7 @@ def extract_targets(
 
     if not sg.objects:
         return []
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(rng)
     position = int(rng.integers(len(sg.objects)))
     obj = sg.objects[position]
     score = float(rng.uniform(*FALLBACK_SCORE_RANGE))

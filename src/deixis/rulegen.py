@@ -306,17 +306,6 @@ class FixtureClient(ChatClient):
         )
 
 
-def request_rules(
-    bundle: PromptBundle,
-    cfg: RulegenConfig,
-    client: ChatClient | None = None,
-) -> str:
-    """Send the prompt and return the assistant's raw reply."""
-    if client is None:
-        client = HttpChatClient(cfg)
-    return client.complete(bundle.messages())
-
-
 class FormatError(ValueError):
     """The reply does not fit the restricted rule format.
 
@@ -513,9 +502,8 @@ REPAIR_INSTRUCTION = (
 
 def generate_program(
     deictic: str,
-    cfg: RulegenConfig,
+    client: ChatClient,
     *,
-    client: ChatClient | None = None,
     cot: bool = False,
     predicates=None,
 ) -> tuple[Program, dict]:
@@ -526,14 +514,12 @@ def generate_program(
     In chain-of-thought mode the service is first asked to extract the
     predicates from the sentence, unless ``predicates`` is supplied.
     """
-    if client is None:
-        client = HttpChatClient(cfg)
     meta: dict = {"cot": cot, "repaired": False}
 
     if predicates is None:
         if cot:
             pre = build_prompt(deictic, [], cot=True)
-            raw = request_rules(pre, cfg, client)
+            raw = client.complete(pre.messages())
             predicates = [p.strip() for p in raw.split(",") if p.strip()]
             meta["predicate_reply"] = raw
         else:
@@ -541,7 +527,7 @@ def generate_program(
     meta["predicates"] = list(predicates)
 
     bundle = build_prompt(deictic, predicates)
-    raw = request_rules(bundle, cfg, client)
+    raw = client.complete(bundle.messages())
     meta["raw"] = raw
     try:
         program = validate_rules(raw)

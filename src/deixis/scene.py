@@ -383,6 +383,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _number(value) -> float:
+    """A number JSON value: an int, a float or a numeric string; never a
+    bool."""
+    if isinstance(value, bool):
+        raise TypeError("a bool is not a number")
+    return float(value)
+
+
 def _strings(entry: dict, key: str, path: str) -> tuple[str, ...]:
     """``entry[key]`` as a tuple of strings; a lone string is one entry."""
     value = entry.get(key, [])
@@ -393,7 +401,7 @@ def _strings(entry: dict, key: str, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _field(entry: dict, key: str, path: str, convert=float, default=None):
+def _field(entry: dict, key: str, path: str, convert=_number, default=None):
     """``entry[key]`` passed through ``convert``; a missing key without a
     default or an unconvertible value names ``path.key``."""
     if key not in entry:

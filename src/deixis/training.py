@@ -343,19 +343,6 @@ def _reason(
     return graph, valuation, tape
 
 
-def _example_loss_and_grad(
-    grounded: _GroundedExample,
-    theta: np.ndarray,
-    reasoner_cfg: ReasonerConfig,
-    iou_threshold: float,
-    rng: np.random.Generator,
-) -> tuple[float, np.ndarray]:
-    """BCE loss for one example and its gradient with respect to theta."""
-    return _loss_and_grad(
-        grounded, sigmoid(theta), reasoner_cfg, iou_threshold, rng
-    )
-
-
 def _loss_and_grad(
     grounded: _GroundedExample,
     w: np.ndarray,
@@ -363,7 +350,8 @@ def _loss_and_grad(
     iou_threshold: float,
     rng: np.random.Generator,
 ) -> tuple[float, np.ndarray]:
-    """:func:`_example_loss_and_grad` at the merge weights w = sigmoid(theta)."""
+    """BCE loss for one example at the merge weights w = sigmoid(theta), and
+    its gradient with respect to theta."""
     graph, v_final, tape = _reason(grounded, w, reasoner_cfg, record=True)
     predictions = extract_targets(
         graph, v_final, grounded.extraction_sg, reasoner_cfg, rng=rng
@@ -408,16 +396,18 @@ def evaluate_mixture(
     task: MixtureTask,
     theta,
     data: list[TrainingExample],
-    reasoner_cfg: ReasonerConfig | None = None,
+    reasoner_cfg: ReasonerConfig,
+    rng: int | np.random.Generator,
     eval_cfg: EvalConfig | None = None,
-    rng: np.random.Generator | None = None,
 ) -> float:
-    """mAP of the mixture with the given parameters over a dataset."""
+    """mAP of the mixture with the given parameters over a dataset.
+
+    ``rng`` is a seed or a ``Generator``: one generator, read with
+    ``np.random.default_rng``, draws every fallback of the pass in order.
+    """
     theta = np.asarray(theta, dtype=np.float64)
-    reasoner_cfg = reasoner_cfg or ReasonerConfig(steps=4)
     eval_cfg = eval_cfg or EvalConfig()
-    if rng is None:
-        rng = np.random.default_rng(reasoner_cfg.rng_seed)
+    rng = np.random.default_rng(rng)
     w = sigmoid(theta)
     instances = []
     for example in data:
@@ -439,8 +429,8 @@ def train_mixture(
     task: MixtureTask,
     data: list[TrainingExample],
     cfg: TrainConfig,
+    reasoner_cfg: ReasonerConfig,
     val_data: list[TrainingExample] | None = None,
-    reasoner_cfg: ReasonerConfig | None = None,
     val_every: int = 0,
 ) -> TrainResult:
     """RMSProp training of the mixture weights.
@@ -454,7 +444,6 @@ def train_mixture(
     """
     if not data:
         raise ValueError("training data is empty")
-    reasoner_cfg = reasoner_cfg or ReasonerConfig(steps=4)
     rng = np.random.default_rng(cfg.seed)
     theta = task.params.astype(np.float64).copy()
     square_avg = np.zeros_like(theta)
@@ -462,10 +451,7 @@ def train_mixture(
     def validation_map() -> float | None:
         if val_data is None:
             return None
-        return evaluate_mixture(
-            task, theta, val_data, reasoner_cfg,
-            rng=np.random.default_rng(cfg.seed),
-        )
+        return evaluate_mixture(task, theta, val_data, reasoner_cfg, cfg.seed)
 
     trace: list[TraceStep] = [
         TraceStep(step=0, loss=float("nan"), val_map=validation_map())

@@ -117,6 +117,11 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b) / (na * nb)
 
 
+def _check_similarity(similarity: str) -> None:
+    if similarity not in ("cosine", "dot"):
+        raise ValueError(f"unsupported similarity {similarity!r}")
+
+
 def nearest_term(
     word: str,
     vocabulary,
@@ -132,8 +137,7 @@ def nearest_term(
     word or the whole vocabulary lacks vectors; an empty vocabulary is a
     ValueError.
     """
-    if similarity not in ("cosine", "dot"):
-        raise ValueError(f"unsupported similarity {similarity!r}")
+    _check_similarity(similarity)
     vocab = sorted(set(vocabulary))
     if not vocab:
         raise ValueError("vocabulary is empty")
@@ -209,8 +213,10 @@ def unify_program(
     symbols (target, condN, type, variables, object constants) are left
     untouched.  Any symbol that cannot be resolved (no embedding, or an
     empty usable vocabulary) is reported as unresolved and kept verbatim,
-    so unification is total: it never raises on ordinary inputs.
+    so unification is total: it never raises on ordinary inputs.  An
+    unknown ``similarity`` raises ValueError before any symbol is looked at.
     """
+    _check_similarity(similarity)
     relation_vocab, attribute_vocab = vocabularies
     intensional = {p.name for p in program.intensional_predicates}
 
@@ -227,23 +233,18 @@ def unify_program(
         if name in cache:
             return cache[name]
         usable = {v for v in vocab if v in store}
-        replacement = name
         if usable and name in store:
-            try:
-                match, sim = nearest_term(name, usable, store, similarity)
-            except (MissingEmbedding, ValueError):
-                unresolved.append(name)
-            else:
-                replacement = match
-                substitutions.append(
-                    Substitution(
-                        original=name,
-                        replacement=match,
-                        similarity=sim,
-                        kind=kind,
-                    )
+            replacement, sim = nearest_term(name, usable, store, similarity)
+            substitutions.append(
+                Substitution(
+                    original=name,
+                    replacement=replacement,
+                    similarity=sim,
+                    kind=kind,
                 )
+            )
         else:
+            replacement = name
             unresolved.append(name)
         cache[name] = replacement
         return replacement

@@ -209,7 +209,13 @@ def _ref_integer(value) -> int:
     return int(value)
 
 
-def _ref_field(entry, key, path, convert=float, default=None):
+def _ref_number(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError("a bool is not a number")
+    return float(value)
+
+
+def _ref_field(entry, key, path, convert=_ref_number, default=None):
     from deixis.scene import SchemaError
 
     if key not in entry:

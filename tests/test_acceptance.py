@@ -39,10 +39,11 @@ from deixis.scene import Box, scene_graph_to_dict, scene_graph_to_facts
 from deixis.training import (
     TrainConfig,
     TrainingExample,
-    _example_loss_and_grad,
     _ground_example,
+    _loss_and_grad,
     evaluate_mixture,
     make_mixture_task,
+    sigmoid,
     train_mixture,
 )
 from deixis.unify import EmbeddingStore, unify_program
@@ -162,12 +163,12 @@ def test_criterion_03_pipeline_gradients_match_finite_differences():
 
         def loss_at(point):
             # Fixed fallback seed so every evaluation is the same function.
-            return _example_loss_and_grad(
-                grounded, point, cfg, 0.8, np.random.default_rng(0)
+            return _loss_and_grad(
+                grounded, sigmoid(point), cfg, 0.8, np.random.default_rng(0)
             )[0]
 
-        _, analytic = _example_loss_and_grad(
-            grounded, theta, cfg, 0.8, np.random.default_rng(0)
+        _, analytic = _loss_and_grad(
+            grounded, sigmoid(theta), cfg, 0.8, np.random.default_rng(0)
         )
         for j in range(2):
             step = np.zeros(2)
@@ -282,10 +283,10 @@ def test_criterion_06_mixture_learning_beats_uniform_init():
     task = make_mixture_task(("ground_truth", "corrupted"))
     reasoner_cfg = ReasonerConfig(steps=4)
     eval_cfg = EvalConfig(match_iou=0.9)
-    init_map = evaluate_mixture(task, task.params, test, reasoner_cfg, eval_cfg)
+    init_map = evaluate_mixture(task, task.params, test, reasoner_cfg, 0, eval_cfg)
     cfg = TrainConfig(lr=1e-2, steps=200, seed=7, iou_threshold=0.8)
-    result = train_mixture(task, train, cfg, val_data=val, reasoner_cfg=reasoner_cfg)
-    final_map = evaluate_mixture(task, result.theta, test, reasoner_cfg, eval_cfg)
+    result = train_mixture(task, train, cfg, reasoner_cfg, val_data=val)
+    final_map = evaluate_mixture(task, result.theta, test, reasoner_cfg, 0, eval_cfg)
 
     w_clean, w_noisy = result.weights
     assert w_clean > w_noisy

@@ -330,6 +330,20 @@ def test_reason_with_llm_fixture(data_dir, capsys):
     assert [p["object_id"] for p in real] == [1]
 
 
+def test_reason_checks_the_chat_settings_with_a_fixture_too(data_dir, capsys):
+    code = main(
+        [
+            "reason",
+            "--scene-graphs", str(data_dir / "scene_graphs.json"),
+            "--prompt", "an object that is on a bench.",
+            "--llm-fixture", str(data_dir / "llm_fixture.json"),
+            "--llm-retries", "-1",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: max_retries must be >= 0, got -1\n"
+
+
 def test_reason_prompt_offline_without_fixture_fails(data_dir, capsys):
     code = main(
         [
@@ -548,6 +562,71 @@ def _synth_instances(tmp_path, graphs_file, n: int) -> Path:
     return data
 
 
+def test_eval_seeds_each_fallback_draw_afresh(tmp_path, capsys):
+    """With every relation removed no target is derivable, so each of the
+    100 predictions is a fallback box. Each instance draws from its own
+    generator, seeded with --seed, so reversing the instances reverses the
+    per-instance report."""
+    graphs = random_scene_graphs(200, seed=1, max_objects=12, max_relations=20)
+    corpus = tmp_path / "graphs.json"
+    corpus.write_text(json.dumps([scene_graph_to_dict(g) for g in graphs]))
+    data = tmp_path / "data.json"
+    assert main(
+        [
+            "synth", "--kind", "deivg", "--k", "2", "--n", "100", "--seed", "2",
+            "--scene-graphs", str(corpus), "--output", str(data),
+        ]
+    ) == 0
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(
+        [scene_graph_to_dict(g) | {"relations": []} for g in graphs]
+    ))
+    reversed_data = tmp_path / "reversed.json"
+    reversed_data.write_text(json.dumps(json.loads(data.read_text())[::-1]))
+    reports = []
+    for instances in (data, reversed_data):
+        out = tmp_path / f"{instances.stem}-report.json"
+        assert main(
+            ["eval", "--data", str(instances), "--scene-graphs", str(bare),
+             "--output", str(out)]
+        ) == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["map"] == reports[1]["map"] == 0.17
+    forwards, backwards = (
+        [{k: v for k, v in r.items() if k != "instance_id"}
+         for r in report["per_instance"]]
+        for report in reports
+    )
+    assert backwards == forwards[::-1]
+
+
+def test_reason_draws_every_fallback_from_one_generator(tmp_path, capsys):
+    """Two identical scenes in which no target is derivable: the run's one
+    generator, seeded with --seed, gives the second scene its own draw."""
+    scene = {
+        "image_id": 1,
+        "objects": [
+            {"object_id": i, "names": ["man"], "x": 10 * i, "y": 0,
+             "w": 5, "h": 5}
+            for i in range(1, 9)
+        ],
+        "relations": [],
+    }
+    path = tmp_path / "scenes.json"
+    path.write_text(json.dumps([scene, scene]))
+    capsys.readouterr()
+    assert main(
+        ["reason", "--scene-graphs", str(path),
+         "--structured", '[["on", "boat"]]']
+    ) == 0
+    first, second = (
+        r["predictions"]
+        for r in json.loads(capsys.readouterr().out)["results"]
+    )
+    assert first[0]["fallback"] and second[0]["fallback"]
+    assert first != second
+
+
 def _break_an_unused_graph(tmp_path, graphs_file, data) -> tuple[Path, str]:
     """A copy of the corpus in which one graph that no instance of ``data``
     uses lacks a box coordinate, and the JSON path of the gap."""
@@ -689,6 +768,37 @@ def test_unknown_config_key_is_exit_2(tmp_path, data_dir, capsys):
     )
     assert code == 2
     assert "unknown config keys: gama" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [([], ["--conf", "{config}"]), ([], ["--confi={config}"]),
+     (["--config", "{config}"], [])],
+    ids=["abbreviated", "abbreviated-equals", "before-the-command"],
+)
+def test_config_is_read_wherever_argparse_reads_it(
+    tmp_path, data_dir, before, after
+):
+    config = tmp_path / "settings.json"
+    config.write_text(
+        json.dumps({"scene-graphs": str(data_dir / "scene_graphs.json"),
+                    "seed": 9})
+    )
+    out = tmp_path / "out.json"
+    argv = [
+        *before, "reason", *after, "--structured", '[["on", "barge"]]',
+        "--output", str(out),
+    ]
+    assert main([a.format(config=config) for a in argv]) == 0
+    manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
+    assert manifest["seed"] == 9
+
+
+def test_config_without_a_path_is_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reason", "--structured", '[["on", "barge"]]', "--config"])
+    assert exc.value.code == 2
+    assert "--config: expected one argument" in capsys.readouterr().err
 
 
 def test_missing_required_settings_is_exit_2(capsys):

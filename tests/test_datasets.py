@@ -261,7 +261,7 @@ def test_clevr_reasoning_matches_oracle_spot_check():
         weights = np.array([r.weight for r in program.rules])
         cfg = ReasonerConfig(gamma=0.01, steps=2)
         v = forward(graph, values, weights, cfg)
-        got = extract_targets(graph, v, clevr_scene_graph(scene), cfg)
+        got = extract_targets(graph, v, clevr_scene_graph(scene), cfg, 0)
         assert len(got) == 1
         assert got[0].object_id - 1 == answer_index
         assert not got[0].fallback

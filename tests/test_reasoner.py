@@ -440,7 +440,7 @@ def test_a_relation_at_confidence_zero_derives_nothing(gamma, steps):
     v = forward(graph, values, graph.weights, cfg)
     assert v[graph.atoms.index(atom("target", "obj1"))] == 0.0
     assert v[graph.atoms.index(atom("cond1", "obj1"))] == 0.0
-    [prediction] = extract_targets(graph, v, sg, cfg)
+    [prediction] = extract_targets(graph, v, sg, cfg, 0)
     assert prediction.fallback
 
 
@@ -510,7 +510,7 @@ def test_extract_targets_threshold_and_order():
     cfg = ReasonerConfig(gamma=0.01, steps=2, target_threshold=0.2)
     weights = np.array([1.0, 0.6])
     v = forward(graph, values, weights, cfg)
-    got = extract_targets(graph, v, sg, cfg)
+    got = extract_targets(graph, v, sg, cfg, 0)
     assert [p.object_id for p in got] == [1, 3]
     assert got[0].score > got[1].score
     assert not any(p.fallback for p in got)
@@ -523,15 +523,19 @@ def test_extract_targets_fallback_is_seeded():
 
     facts, values = scene_graph_to_facts(sg)
     graph = build_reasoning_graph(program, facts)
-    cfg = ReasonerConfig(rng_seed=5)
+    cfg = ReasonerConfig()
     # A tiny rule weight leaves every target atom under the threshold.
     v = forward(graph, values,
                 np.array([0.05]), cfg)
-    first = extract_targets(graph, v, sg, cfg)
-    second = extract_targets(graph, v, sg, cfg)
+    first = extract_targets(graph, v, sg, cfg, 5)
+    second = extract_targets(graph, v, sg, cfg, 5)
     assert len(first) == 1 and first[0].fallback
     assert 0.1 <= first[0].score <= 0.4
-    assert first == second  # fresh default rng from the config seed
+    assert first == second  # a seed draws afresh on every call
+    # A Generator is advanced: it gives the seed's first draw, then others.
+    rng = np.random.default_rng(5)
+    assert extract_targets(graph, v, sg, cfg, rng) == first
+    assert extract_targets(graph, v, sg, cfg, rng) != first
 
 
 def test_extract_targets_requires_target_atoms():
@@ -544,7 +548,7 @@ def test_extract_targets_requires_target_atoms():
     cfg = ReasonerConfig()
     v = forward(graph, values, np.ones(1), cfg)
     with pytest.raises(NoTargetAtoms):
-        extract_targets(graph, v, sg, cfg)
+        extract_targets(graph, v, sg, cfg, 0)
 
 
 def test_target_fact_is_predicted_at_its_node():
@@ -557,13 +561,13 @@ def test_target_fact_is_predicted_at_its_node():
     assert graph.target_atoms == (1,)
     cfg = ReasonerConfig()
     v = forward(graph, np.ones(2), graph.weights, cfg)
-    [prediction] = extract_targets(graph, v, sg, cfg)
+    [prediction] = extract_targets(graph, v, sg, cfg, 0)
     assert (prediction.object_id, prediction.fallback) == (1, False)
     assert prediction.node == 1
     assert graph.atoms[prediction.node] == atom("target", "obj1")
     # At value 0 the fact stays under the threshold: a fallback, no node.
     v = forward(graph, [1.0, 0.0], graph.weights, cfg)
-    [prediction] = extract_targets(graph, v, sg, cfg)
+    [prediction] = extract_targets(graph, v, sg, cfg, 0)
     assert prediction.fallback and prediction.node is None
 
 
@@ -583,8 +587,3 @@ def test_forward_stays_in_unit_interval(seed):
 def test_reasoner_config_rejects_gamma_that_is_not_positive_and_finite(gamma):
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
         ReasonerConfig(gamma=gamma)
-
-
-def test_reasoner_config_rejects_a_negative_seed():
-    with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
-        ReasonerConfig(rng_seed=-1)

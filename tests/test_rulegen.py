@@ -18,7 +18,6 @@ from deixis.rulegen import (
     Timeout,
     build_prompt,
     generate_program,
-    request_rules,
     template_rulegen,
     validate_rules,
 )
@@ -144,14 +143,13 @@ def test_template_output_always_validates():
 
 def test_fixture_client_round_trip(data_dir):
     client = FixtureClient.load(str(data_dir / "llm_fixture.json"))
-    cfg = make_cfg()
     bundle = build_prompt(
         "an object that is on a barge, and that is holding an umbrella.", []
     )
-    text = request_rules(bundle, cfg, client)
+    text = client.complete(bundle.messages())
     assert "type(Y,barge)" in text
     with pytest.raises(ServiceError):
-        request_rules(build_prompt("unknown prompt.", []), cfg, client)
+        client.complete(build_prompt("unknown prompt.", []).messages())
 
 
 class _Response:
@@ -263,9 +261,7 @@ def test_generate_program_repairs_once():
             "cond1(X):-on(X,Y),type(Y,boat).\ntarget(X):-cond1(X).",
         ]
     )
-    program, meta = generate_program(
-        "an object that is on a boat.", make_cfg(), client=client
-    )
+    program, meta = generate_program("an object that is on a boat.", client)
     assert meta["repaired"]
     assert len(program.rules) == 2
     # The repair turn carries the previous reply and the error report.
@@ -277,7 +273,7 @@ def test_generate_program_repairs_once():
 def test_generate_program_gives_up_after_one_repair():
     client = _ScriptedClient(["nonsense", "still nonsense"])
     with pytest.raises(FormatError):
-        generate_program("prompt.", make_cfg(), client=client)
+        generate_program("prompt.", client)
 
 
 def test_generate_program_cot_extracts_predicates_first():
@@ -291,8 +287,7 @@ def test_generate_program_cot_extracts_predicates_first():
     )
     program, meta = generate_program(
         "an object that is on a boat, and that is holding an umbrella.",
-        make_cfg(),
-        client=client,
+        client,
         cot=True,
     )
     assert meta["cot"] and meta["predicates"] == ["on", "holding"]

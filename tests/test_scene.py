@@ -188,6 +188,28 @@ def test_load_scene_graphs_names_the_bad_path(tmp_path, edit, where):
     assert err.value.json_path == where
 
 
+@pytest.mark.parametrize(
+    "array, index, key, value",
+    [("objects", 0, "x", True), ("objects", 1, "h", False),
+     ("relations", 0, "confidence", True), ("relations", 0, "score", False)],
+)
+def test_a_bool_is_not_a_number(tmp_path, array, index, key, value):
+    graph = scene_graph_to_dict(make_graph())
+    entry = graph[array][index]
+    entry.pop("confidence", None)
+    entry[key] = value
+    path = tmp_path / "graphs.json"
+    path.write_text(json.dumps([graph]))
+    with pytest.raises(SchemaError) as err:
+        load_scene_graphs(str(path))
+    assert str(err.value) == (
+        f"$[0].{array}[{index}].{key}: must be a number, got {value}"
+    )
+    with pytest.raises(SchemaError) as reference:
+        reference_scene_graphs(json.loads(path.read_text()))
+    assert str(reference.value) == str(err.value)
+
+
 def test_scene_graph_dict_round_trip():
     sg = make_graph()
     again = parse_scene_graph(scene_graph_to_dict(sg))

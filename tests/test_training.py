@@ -22,8 +22,8 @@ from deixis.scene import Box, SceneGraph, SceneObject, SceneRelation
 from deixis.training import (
     TrainConfig,
     TrainingExample,
-    _example_loss_and_grad,
     _ground_example,
+    _loss_and_grad,
     _reason,
     bce_loss,
     evaluate_mixture,
@@ -42,6 +42,10 @@ PROGRAM_1 = (
     "cond2(X):-holding(X,Y),type(Y,umbrella).\n"
     "target(X):-cond1(X),cond2(X).\n"
 )
+
+# The reasoner the training tests run: four rounds reach every template
+# program's proof depth.
+REASONER_CFG = ReasonerConfig(steps=4)
 
 
 def test_specialize_appends_source_variable():
@@ -159,8 +163,7 @@ def test_training_moves_weights_apart():
     assert len(examples) >= 10
     task = make_mixture_task(("ground_truth", "corrupted"))
     cfg = TrainConfig(steps=40, seed=0)
-    result = train_mixture(task, examples, cfg,
-                           reasoner_cfg=ReasonerConfig(steps=4))
+    result = train_mixture(task, examples, cfg, REASONER_CFG)
     w_gt, w_bad = result.weights
     assert w_gt > w_bad
     assert w_gt > 0.5
@@ -179,9 +182,9 @@ def test_training_is_deterministic():
     examples = make_training_data(n_graphs=12, seed=2)
     cfg = TrainConfig(steps=8, seed=1)
     r1 = train_mixture(make_mixture_task(("ground_truth", "corrupted")),
-                       examples, cfg)
+                       examples, cfg, REASONER_CFG)
     r2 = train_mixture(make_mixture_task(("ground_truth", "corrupted")),
-                       examples, cfg)
+                       examples, cfg, REASONER_CFG)
     np.testing.assert_array_equal(r1.theta, r2.theta)
     assert [t.step for t in r1.trace] == [t.step for t in r2.trace]
     np.testing.assert_array_equal(
@@ -198,7 +201,7 @@ def test_evaluate_mixture_scores_gt_perfectly():
     task = make_mixture_task(("ground_truth", "corrupted"))
     # Hand-pick confident GT, silent corrupted source.
     theta = np.array([4.0, -4.0])
-    score = evaluate_mixture(task, theta, examples)
+    score = evaluate_mixture(task, theta, examples, REASONER_CFG, 0)
     assert score == pytest.approx(1.0)
 
 
@@ -220,7 +223,7 @@ def test_evaluate_mixture_falls_back_when_target_is_underivable():
         scene_graphs={"ground_truth": sg, "corrupted": sg},
     )
     task = make_mixture_task(("ground_truth", "corrupted"))
-    assert evaluate_mixture(task, task.params, [example]) == 1.0
+    assert evaluate_mixture(task, task.params, [example], REASONER_CFG, 0) == 1.0
 
 
 def test_checkpoint_holds_theta_config_and_step(tmp_path):
@@ -272,18 +275,19 @@ def test_each_example_is_grounded_once_per_task(monkeypatch):
     examples = make_training_data(n_graphs=12, seed=2)
     train, val, test = examples[:6], examples[6:9], examples[9:]
     task = make_mixture_task(("ground_truth", "corrupted"))
-    before = evaluate_mixture(task, task.params, test)
+    before = evaluate_mixture(task, task.params, test, REASONER_CFG, 0)
     result = train_mixture(task, train, TrainConfig(steps=12, seed=1),
-                           val_data=val, val_every=4)
-    after = evaluate_mixture(task, result.theta, test)
+                           REASONER_CFG, val_data=val, val_every=4)
+    after = evaluate_mixture(task, result.theta, test, REASONER_CFG, 0)
     # Steps draw examples at random; evaluating the training set too makes
     # sure every example was needed at least once.
-    evaluate_mixture(task, result.theta, train)
+    evaluate_mixture(task, result.theta, train, REASONER_CFG, 0)
     distinct = len(train) + len(val) + len(test)
     assert len(calls) == distinct
     # A fresh task grounds again and scores the same.
     assert evaluate_mixture(
-        make_mixture_task(("ground_truth", "corrupted")), task.params, test
+        make_mixture_task(("ground_truth", "corrupted")), task.params, test,
+        REASONER_CFG, 0,
     ) == after
     assert len(calls) == distinct + len(test)
     assert 0.0 <= before <= 1.0
@@ -308,8 +312,8 @@ def assert_replay_matches(task, example, theta, cfg):
         return graph, [(p.object_id, p.box, p.score, p.fallback) for p in found]
 
     def loss_and_grad(grounded):
-        loss, grad = _example_loss_and_grad(
-            grounded, theta, cfg, 0.8, np.random.default_rng(0)
+        loss, grad = _loss_and_grad(
+            grounded, w, cfg, 0.8, np.random.default_rng(0)
         )
         return loss, grad.tobytes()
 
@@ -320,7 +324,7 @@ def assert_replay_matches(task, example, theta, cfg):
     want_loss = loss_and_grad(_ground_example(task, example))
 
     primed = _ground_example(task, example)
-    _example_loss_and_grad(primed, -theta, cfg, 0.8, np.random.default_rng(1))
+    _loss_and_grad(primed, sigmoid(-theta), cfg, 0.8, np.random.default_rng(1))
     graph, got = predictions(primed)
     assert got == want
     assert loss_and_grad(primed) == want_loss

@@ -145,3 +145,17 @@ def test_unify_program_degrades_to_unresolved():
     unified, report = unify_program(program, reference_vocabularies(facts), store)
     assert "boat" in report.unresolved
     assert "type(Y,boat)" in render_program(unified)  # left as written
+
+
+@pytest.mark.parametrize("program_text", [
+    "target(X):-on(X,Y),type(Y,barge).",  # barge needs resolving
+    "target(X):-on(X,Y),type(Y,boat).",  # nothing to resolve
+])
+def test_unify_program_rejects_an_unknown_similarity(program_text):
+    store = store_from({"boat": [1.0, 0.0], "barge": [0.9, 0.1]})
+    facts = FactSet([atom("on", "obj1", "obj2"), atom("type", "obj2", "boat")])
+    with pytest.raises(ValueError, match="unsupported similarity 'euclid'"):
+        unify_program(
+            parse_program(program_text), reference_vocabularies(facts), store,
+            similarity="euclid",
+        )
