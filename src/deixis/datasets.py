@@ -39,6 +39,8 @@ from .scene import (
     SceneObject,
     SceneRelation,
     SchemaError,
+    _new_graph,
+    _new_relation,
     canon_constant,
     read_json,
 )
@@ -856,15 +858,7 @@ def corrupt_scene_graph(
             if key in original or key in seen:
                 continue
             seen.add(key)
-            spurious.append(
-                SceneRelation(
-                    subject_id=subject,
-                    predicate=rel.predicate,
-                    object_id=rel.object_id,
-                )
-            )
-    return SceneGraph(
-        image_id=sg.image_id,
-        objects=sg.objects,
-        relations=tuple(kept + spurious),
-    )
+            spurious.append(_new_relation(subject, rel.predicate, rel.object_id, 1.0))
+    # Every endpoint is an object of the checked graph ``sg``, so neither
+    # the rewired relations nor the graph need checking again.
+    return _new_graph(sg.image_id, sg.objects, tuple(kept + spurious))

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -43,6 +44,31 @@ class RuleSyntaxError(SyntaxError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+
+
+@lru_cache(maxsize=None)
+def _unchecked(cls):
+    """The constructor of the frozen dataclass ``cls`` that checks nothing.
+
+    It takes every field, in declaration order, by position or keyword,
+    sets each with ``object.__setattr__`` and runs no ``__post_init__``.
+    It is only for values that were checked once already or that hold by
+    construction; the public constructors keep every check. Setting the
+    fields one by one in declaration order keeps the instance's attribute
+    dict sharing its keys with the checked instances' (a dict filled in
+    one go is about twice the size). The body is generated, as
+    ``dataclasses`` generates ``__init__``, because a loop over the field
+    names costs more than the checks it skips.
+    """
+    names = [f.name for f in fields(cls)]
+    sets = "".join(f"    _set(obj, {name!r}, {name})\n" for name in names)
+    source = (
+        f"def unchecked_{cls.__name__}({', '.join(names)}):\n"
+        f"    obj = _new(cls)\n{sets}    return obj\n"
+    )
+    namespace = {"_new": object.__new__, "_set": object.__setattr__, "cls": cls}
+    exec(source, namespace)
+    return namespace[f"unchecked_{cls.__name__}"]
 
 
 def _valid_name(name: str) -> bool:
@@ -227,6 +253,16 @@ class FactSet:
                 if index.setdefault(a, len(atoms)) == len(atoms):
                     atoms.append(a)
         return pooled
+
+    @classmethod
+    def _of_distinct(cls, atoms: list[Atom]) -> "FactSet":
+        """The store of ``atoms``, in order, taking the list as it is. The
+        atoms are known to be ground and pairwise distinct, so they are not
+        checked again."""
+        facts = cls()
+        facts._atoms = atoms
+        facts._index = dict(zip(atoms, range(len(atoms))))
+        return facts
 
     def add(self, a: Atom) -> int:
         """Insert a ground atom; returns its position (existing or new)."""

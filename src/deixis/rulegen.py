@@ -21,6 +21,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .logic import (
     Atom,
@@ -30,9 +31,16 @@ from .logic import (
     RuleSyntaxError,
     Term,
     _alpha_key,
+    _unchecked,
     parse_rule,
 )
-from .scene import canon_constant, canon_predicate, read_json
+from .scene import (
+    _canon_constant,
+    _canon_predicate,
+    _predicate,
+    _term,
+    read_json,
+)
 
 SYSTEM_PROMPT = """\
 Given a deictic representation and available predicates, generate rules in the format.
@@ -543,6 +551,22 @@ def generate_program(
     return program, meta
 
 
+# The atoms every template program shares; terms, predicates and atoms are
+# immutable, so programs share them too.
+_X, _Y = Term("X"), Term("Y")
+_TYPE = Predicate("type", 2)
+_TARGET_HEAD = Atom(Predicate("target", 1), (_X,))
+_new_atom = _unchecked(Atom)
+_new_rule = _unchecked(Rule)
+_new_program = _unchecked(Program)
+
+
+@lru_cache(maxsize=64)
+def _cond_head(i: int) -> Atom:
+    """``condI(X)``."""
+    return Atom(Predicate(f"cond{i}", 1), (_X,))
+
+
 def template_rulegen(structured) -> Program:
     """Deterministic rule generation from (relation, attribute) pairs.
 
@@ -551,13 +575,18 @@ def template_rulegen(structured) -> Program:
     conjoining them.  Relation and attribute names are canonicalized the
     same way scene graphs are, so the output always grounds against
     matching scene facts.
+
+    Once the pairs are checked, the rules are built without the checks of
+    the public constructors, which the template meets by construction:
+    every atom has its predicate's arity, every head variable ``X`` occurs
+    in the body, and the heads ``cond1``, ..., ``condN`` and ``target``
+    are distinct, so no two rules are alike. The relation's predicate and
+    the attribute's term are still made by their checking constructors.
     """
     pairs = list(structured)
     if not pairs:
         raise ValueError("structured prompt must contain at least one condition")
-    x, y = Term("X"), Term("Y")
     rules = []
-    target_body = []
     for i, pair in enumerate(pairs, start=1):
         if not (
             isinstance(pair, (list, tuple))
@@ -569,25 +598,18 @@ def template_rulegen(structured) -> Program:
                 f"strings, got {pair!r}"
             )
         relation, attribute = pair
-        rel = canon_predicate(relation)
-        attr = canon_constant(attribute)
+        rel = _canon_predicate(relation)
+        attr = _canon_constant(attribute)
         if not rel or not attr:
             raise ValueError(
                 f"condition {i}: relation/attribute must be non-empty "
                 f"after canonicalization, got {(relation, attribute)!r}"
             )
-        cond = Predicate(f"cond{i}", 1)
-        rules.append(
-            Rule(
-                head=Atom(cond, (x,)),
-                body=(
-                    Atom(Predicate(rel, 2), (x, y)),
-                    Atom(Predicate("type", 2), (y, Term(attr))),
-                ),
-            )
+        body = (
+            _new_atom(_predicate(rel, 2), (_X, _Y)),
+            _new_atom(_TYPE, (_Y, _term(attr))),
         )
-        target_body.append(Atom(cond, (x,)))
-    rules.append(
-        Rule(head=Atom(Predicate("target", 1), (x,)), body=tuple(target_body))
-    )
-    return Program(tuple(rules))
+        rules.append(_new_rule(_cond_head(i), body, 1.0))
+    target_body = tuple(_cond_head(i) for i in range(1, len(pairs) + 1))
+    rules.append(_new_rule(_TARGET_HEAD, target_body, 1.0))
+    return _new_program(tuple(rules))

@@ -31,7 +31,7 @@ from typing import Container
 
 import numpy as np
 
-from .logic import Atom, FactSet, Predicate, Program, Term
+from .logic import Atom, FactSet, Predicate, Program, Term, _unchecked
 
 __all__ = [
     "Box",
@@ -230,6 +230,7 @@ _canon_constant = lru_cache(maxsize=1 << 16)(canon_constant)
 _canon_predicate = lru_cache(maxsize=1 << 16)(canon_predicate)
 _term = lru_cache(maxsize=1 << 16)(Term)
 _predicate = lru_cache(maxsize=1 << 12)(Predicate)
+_new_atom = _unchecked(Atom)
 
 
 def object_constants(sg: SceneGraph) -> dict[int, Term]:
@@ -338,7 +339,13 @@ def scene_graph_to_facts(
     """
     # Every row has two arguments, three with a tag.
     demand = None if program is None else _demand(program, 2 + (tag is not None))
-    facts = FactSet()
+    # The rows are distinct, and each predicate is made with its rows'
+    # arity, so the atoms and the store are built without a check. Their
+    # groundness is tested on the strings: a row's subject is an object
+    # constant, so only its second argument (a type row's name) or the tag
+    # can read as a variable, since some letters, such as 'ℭ', stay
+    # uppercase when lowercased.
+    atoms: list[Atom] = []
     values: list[float] = []
     for name, args, value in scene_rows(sg):
         if tag is not None:
@@ -349,26 +356,38 @@ def scene_graph_to_facts(
                 all(args[i] == c for i, c in p) for p in patterns
             ):
                 continue
-        facts.add(
-            Atom(_predicate(name, len(args)), tuple(_term(n) for n in args))
-        )
+        atom = _new_atom(_predicate(name, len(args)), tuple(map(_term, args)))
+        if args[1][0].isupper() or args[-1][0].isupper():
+            raise ValueError(f"non-ground fact: {atom}")
+        atoms.append(atom)
         values.append(value)
-    return facts, np.asarray(values, dtype=float)
+    return FactSet._of_distinct(atoms), np.asarray(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # JSON ingestion (tolerant of raw Visual Genome exports)
 #
-# One reader checks every graph and builds only the ones asked for. Each
-# field is first read by an exact-type test for the form that corpus
-# writers emit: an int or float coordinate or confidence, an int id, a str
-# predicate, a list of str names. Any other form takes the slow branch
-# (the helpers below), which accepts the lenient forms or raises naming the
-# JSON path; a path is formatted only there.
+# One reader checks every graph, in one pass, and builds only the ones
+# asked for. It runs one flat loop over a graph's objects and one over its
+# relations, and on the well-formed path it calls no checking helper per
+# element. Each field is first read by an exact-type test for the
+# form that corpus writers emit: an int or float coordinate or confidence,
+# an int id, a str predicate, a list of str names. A box is tested inline
+# (a comparison with NaN is false, so NaN fails it too). Any other form,
+# and any failed test, takes the slow branch (the helpers below), which
+# accepts the lenient forms or raises naming the JSON path; a path is
+# formatted only there. What the reader has checked it builds without a
+# second check: boxes, relations and graphs come from the unchecked
+# constructors (``logic._unchecked``), since ``SceneGraph.__post_init__``
+# would only test again the ids and endpoints tested here.
 
 
 # The exact types of a JSON number; a bool is neither.
 _NUMBER = (float, int)
+_INF = math.inf
+_new_box = _unchecked(Box)
+_new_relation = _unchecked(SceneRelation)
+_new_graph = _unchecked(SceneGraph)
 
 
 def _integer(value) -> int:
@@ -391,6 +410,16 @@ def _number(value) -> float:
     return float(value)
 
 
+def _string(value) -> str:
+    """A string JSON value, nothing converted."""
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
+
+
+_KINDS = {_integer: "an integer", _number: "a number", _string: "a string"}
+
+
 def _strings(entry: dict, key: str, path: str) -> tuple[str, ...]:
     """``entry[key]`` as a tuple of strings; a lone string is one entry."""
     value = entry.get(key, [])
@@ -411,9 +440,8 @@ def _field(entry: dict, key: str, path: str, convert=_number, default=None):
     try:
         return convert(entry[key])
     except (TypeError, ValueError):
-        kind = "an integer" if convert is _integer else "a number"
         raise SchemaError(
-            f"{path}.{key}", f"must be {kind}, got {entry[key]!r}"
+            f"{path}.{key}", f"must be {_KINDS[convert]}, got {entry[key]!r}"
         ) from None
 
 
@@ -486,11 +514,16 @@ def _read_scene_graph(
             where = _at(path, "objects", j)
             x, y = _field(entry, "x", where), _field(entry, "y", where)
             w, h = _field(entry, "w", where), _field(entry, "h", where)
-        try:
-            # Only checked (box is None) when the graph is not built.
-            box = Box(x, y, w, h) if build else _check_box(x, y, w, h)
-        except ValueError as exc:
-            raise SchemaError(_at(path, "objects", j), f"invalid box: {exc}") from exc
+        if not (
+            0.0 <= x < _INF and 0.0 <= y < _INF and 0.0 < w < _INF and 0.0 < h < _INF
+        ):
+            # The same test as _check_box, which words the error.
+            try:
+                _check_box(x, y, w, h)
+            except ValueError as exc:
+                raise SchemaError(
+                    _at(path, "objects", j), f"invalid box: {exc}"
+                ) from exc
         names = entry.get("names")
         if names.__class__ is not list or not all(map(isinstance, names, repeat(str))):
             key = "name" if "names" not in entry and "name" in entry else "names"
@@ -501,6 +534,7 @@ def _read_scene_graph(
         ):
             synsets = _strings(entry, "synsets", _at(path, "objects", j))
         if build:
+            box = _new_box(x, y, w, h)
             objects.append(SceneObject(object_id, tuple(names), box, tuple(synsets)))
     relations = []
     array = "relations" if "relations" in data else "relationships"
@@ -509,7 +543,7 @@ def _read_scene_graph(
             raise SchemaError(_at(path, array, j), "relation must be a JSON object")
         predicate = entry.get("predicate")
         if predicate.__class__ is not str:
-            predicate = _field(entry, "predicate", _at(path, array, j), str)
+            predicate = _field(entry, "predicate", _at(path, array, j), _string)
         subject = entry.get("subject_id")
         if subject.__class__ is not int or subject not in seen:
             subject = _endpoint(entry, "subject_id", _at(path, array, j), seen)
@@ -528,10 +562,12 @@ def _read_scene_graph(
             except ValueError as exc:
                 raise SchemaError(f"{_at(path, array, j)}.{key}", str(exc)) from exc
         if build:
-            relations.append(SceneRelation(subject, predicate, object_, confidence))
+            relations.append(_new_relation(subject, predicate, object_, confidence))
     if not build:
         return None
-    return SceneGraph(image_id, tuple(objects), tuple(relations))
+    # The ids are distinct and every endpoint names an object: both were
+    # tested above.
+    return _new_graph(image_id, tuple(objects), tuple(relations))
 
 
 def parse_scene_graph(data: dict, path: str = "$") -> SceneGraph:

@@ -215,6 +215,12 @@ def _ref_number(value) -> float:
     return float(value)
 
 
+def _ref_string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
+
+
 def _ref_field(entry, key, path, convert=_ref_number, default=None):
     from deixis.scene import SchemaError
 
@@ -225,7 +231,9 @@ def _ref_field(entry, key, path, convert=_ref_number, default=None):
     try:
         return convert(entry[key])
     except (TypeError, ValueError):
-        kind = "an integer" if convert is _ref_integer else "a number"
+        kind = {_ref_integer: "an integer", _ref_string: "a string"}.get(
+            convert, "a number"
+        )
         raise SchemaError(
             f"{path}.{key}", f"must be {kind}, got {entry[key]!r}"
         ) from None
@@ -298,7 +306,7 @@ def reference_parse_scene_graph(data, path: str = "$"):
         rpath = f"{path}.{relations_key}[{j}]"
         if not isinstance(entry, dict):
             raise SchemaError(rpath, "relation must be a JSON object")
-        predicate = _ref_field(entry, "predicate", rpath, str)
+        predicate = _ref_field(entry, "predicate", rpath, _ref_string)
         endpoints = []
         for key in ("subject_id", "object_id"):
             holder, inner, where = entry, key, rpath
@@ -332,6 +340,59 @@ def reference_scene_graphs(data) -> list:
     if not isinstance(data, list):
         raise SchemaError("$", "top level must be a scene graph or an array of them")
     return [reference_parse_scene_graph(d, f"$[{i}]") for i, d in enumerate(data)]
+
+
+# ---------------------------------------------------------------------------
+# Template rule generation as it was before it built its rules unchecked:
+# every term, predicate, atom, rule and program through its public,
+# checking constructor.
+
+
+def reference_template_rulegen(structured):
+    """The template program of (relation, attribute) pairs, every part
+    built and checked by the public constructors."""
+    from deixis.logic import Atom, Predicate, Program, Rule, Term
+    from deixis.scene import canon_constant, canon_predicate
+
+    pairs = list(structured)
+    if not pairs:
+        raise ValueError("structured prompt must contain at least one condition")
+    x, y = Term("X"), Term("Y")
+    rules = []
+    target_body = []
+    for i, pair in enumerate(pairs, start=1):
+        if not (
+            isinstance(pair, (list, tuple))
+            and len(pair) == 2
+            and all(isinstance(p, str) for p in pair)
+        ):
+            raise ValueError(
+                f"condition {i}: expected a (relation, attribute) pair of "
+                f"strings, got {pair!r}"
+            )
+        relation, attribute = pair
+        rel = canon_predicate(relation)
+        attr = canon_constant(attribute)
+        if not rel or not attr:
+            raise ValueError(
+                f"condition {i}: relation/attribute must be non-empty "
+                f"after canonicalization, got {(relation, attribute)!r}"
+            )
+        cond = Predicate(f"cond{i}", 1)
+        rules.append(
+            Rule(
+                head=Atom(cond, (x,)),
+                body=(
+                    Atom(Predicate(rel, 2), (x, y)),
+                    Atom(Predicate("type", 2), (y, Term(attr))),
+                ),
+            )
+        )
+        target_body.append(Atom(cond, (x,)))
+    rules.append(
+        Rule(head=Atom(Predicate("target", 1), (x,)), body=tuple(target_body))
+    )
+    return Program(tuple(rules))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Terms, atoms, rules, parsing, and rendering round-trips."""
 
+import tracemalloc
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,8 +20,9 @@ from deixis.logic import (
     render_program,
     render_rule,
 )
-from deixis.logic import _alpha_key
+from deixis.logic import _alpha_key, _unchecked
 from deixis.rulegen import FormatError, validate_rules
+from deixis.scene import Box, SceneGraph, SceneObject, SceneRelation
 
 PROGRAM_1 = (
     "cond1(X):-on(X,Y),type(Y,boat).\n"
@@ -226,3 +230,60 @@ def rules(draw):
 def test_render_parse_round_trip(rule):
     again = parse_rule(render_rule(rule))
     assert again == rule
+
+
+def _checked_values():
+    box = Box(1.0, 2.5, 3.0, 4.0)
+    objects = (
+        SceneObject(1, ("man",), box, ("man.n.01",)),
+        SceneObject(2, ("boat",), Box(0.0, 0.0, 9.0, 9.0)),
+    )
+    relation = SceneRelation(1, "on", 2, 0.5)
+    rule = parse_rule("cond1(X):-on(X,Y),type(Y,boat).")
+    return [
+        box, objects[0], relation, SceneGraph(3, objects, (relation,)),
+        rule.body[0], rule, parse_program(PROGRAM_1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "checked", _checked_values(), ids=lambda value: type(value).__name__
+)
+def test_an_unchecked_instance_is_the_checked_one(checked):
+    cls = type(checked)
+    values = {f.name: getattr(checked, f.name) for f in fields(cls)}
+    unchecked = _unchecked(cls)(**values)
+    assert type(unchecked) is cls
+    assert unchecked == checked and checked == unchecked
+    assert hash(unchecked) == hash(checked)
+    assert repr(unchecked) == repr(checked)
+    assert str(unchecked) == str(checked)
+    assert vars(unchecked) == vars(checked)
+    assert list(vars(unchecked)) == list(vars(checked))
+    name = fields(cls)[0].name
+    with pytest.raises(FrozenInstanceError):
+        setattr(unchecked, name, values[name])
+    assert _unchecked(cls)(*values.values()) == checked
+
+
+def test_the_unchecked_constructor_checks_nothing():
+    with pytest.raises(ValueError):
+        Box(-1.0, 0.0, 0.0, 0.0)
+    assert _unchecked(Box)(-1.0, 0.0, 0.0, 0.0).w == 0.0
+    with pytest.raises(ValueError):
+        Atom(Predicate("on", 2), (Term("X"),))
+    assert _unchecked(Atom)(Predicate("on", 2), (Term("X"),)).args == (Term("X"),)
+
+
+def test_unchecked_boxes_take_no_more_memory_than_checked_ones():
+    def traced(make) -> int:
+        tracemalloc.start()
+        try:
+            boxes = [make(float(i), 1.0, 2.0, 3.0) for i in range(10_000)]
+            assert len(boxes) == 10_000
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    checked, unchecked = traced(Box), traced(_unchecked(Box))
+    assert unchecked <= 1.1 * checked

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deixis.logic import render_program
 from deixis.rulegen import (
@@ -21,6 +22,8 @@ from deixis.rulegen import (
     template_rulegen,
     validate_rules,
 )
+
+from oracles import reference_template_rulegen
 
 PROGRAM_1 = (
     "cond1(X):-on(X,Y),type(Y,boat).\n"
@@ -139,6 +142,52 @@ def test_template_output_always_validates():
     ):
         program = template_rulegen(pairs)
         assert validate_rules(render_program(program)) == program
+
+
+# Names that canonicalise to something: digits first, mixed case and
+# non-ASCII letters. Other names add spaces and punctuation, letters that
+# stay uppercase when lowercased (so the relation canonicalises to an
+# invalid predicate name), and names that canonicalise to nothing.
+_GOOD_NAME = st.text(
+    st.sampled_from(list("onTOP3é字ÉßǅΣ")), min_size=1, max_size=6
+)
+_TEMPLATE_NAME = st.one_of(
+    _GOOD_NAME,
+    st.text(st.sampled_from(list("on _-.:(3ÉϒΣ")), max_size=6),
+    st.text(max_size=4),
+)
+_TEMPLATE_PAIR = st.one_of(
+    st.tuples(_GOOD_NAME, _GOOD_NAME),
+    st.tuples(_TEMPLATE_NAME, _TEMPLATE_NAME),
+    st.lists(_TEMPLATE_NAME, min_size=2, max_size=2),
+    st.sampled_from([("on",), ("on", "boat", "x"), ("on", 3), None, "on"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TEMPLATE_PAIR, max_size=4))
+def test_template_rulegen_matches_the_checked_reference(pairs):
+    try:
+        expected = reference_template_rulegen(pairs)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            template_rulegen(pairs)
+        assert str(err.value) == str(exc)
+        return
+    program = template_rulegen(pairs)
+    assert program == expected
+    assert repr(program) == repr(expected)
+    assert hash(program) == hash(expected)
+    assert render_program(program) == render_program(expected)
+
+
+def test_template_rulegen_rejects_what_canonicalises_to_nothing():
+    for pairs in ([("on", "!!")], [("on", "boat"), ("--", "boat")], []):
+        with pytest.raises(ValueError) as err:
+            template_rulegen(pairs)
+        with pytest.raises(ValueError) as reference:
+            reference_template_rulegen(pairs)
+        assert str(err.value) == str(reference.value)
 
 
 def test_fixture_client_round_trip(data_dir):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deixis.logic import atom
+from deixis.logic import Atom, FactSet, Predicate, Term, atom
 from deixis.scene import (
     Box,
     DanglingReference,
@@ -25,6 +25,8 @@ from deixis.scene import (
     parse_scene_graph,
     scene_graph_to_dict,
     scene_graph_to_facts,
+    scene_rows,
+    tagged_predicate,
 )
 
 from oracles import reference_scene_graphs
@@ -105,6 +107,47 @@ def test_scene_graph_to_facts_layout():
     assert values[0] == pytest.approx(0.75)
     assert values.shape == (len(facts),)
     assert np.all((values >= 0) & (values <= 1))
+
+
+def _checked_facts(sg, tag=None):
+    """The facts of ``sg`` through the checking constructors and
+    ``FactSet.add``."""
+    facts, values = FactSet(), []
+    for name, args, value in scene_rows(sg):
+        if tag is not None:
+            name, args = tagged_predicate(name), (*args, tag)
+        facts.add(Atom(Predicate(name, len(args)), tuple(map(Term, args))))
+        values.append(value)
+    return facts, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.text(st.sampled_from(list("boatℭϒΣ3 ")), max_size=4), max_size=3),
+    st.sampled_from([None, "sgg0", "Src", "ℭ1"]),
+)
+def test_scene_facts_match_the_checked_build(names, tag):
+    """Some letters stay uppercase when lowercased, so a canonical name can
+    read as a variable; such a fact is rejected as ``FactSet.add`` would."""
+    sg = SceneGraph(
+        image_id=1,
+        objects=(
+            SceneObject(1, tuple(names), Box(0, 0, 1, 1)),
+            SceneObject(2, ("boat",), Box(1, 1, 1, 1)),
+        ),
+        relations=(SceneRelation(1, "on", 2, 0.5),),
+    )
+    try:
+        expected, expected_values = _checked_facts(sg, tag)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            scene_graph_to_facts(sg, tag=tag)
+        assert str(err.value) == str(exc)
+        return
+    facts, values = scene_graph_to_facts(sg, tag=tag)
+    assert list(facts) == list(expected)
+    assert [facts.position(a) for a in expected] == list(range(len(expected)))
+    assert values.tolist() == expected_values
 
 
 def test_duplicate_relation_keeps_max_confidence():
@@ -205,6 +248,23 @@ def test_a_bool_is_not_a_number(tmp_path, array, index, key, value):
     assert str(err.value) == (
         f"$[0].{array}[{index}].{key}: must be a number, got {value}"
     )
+    with pytest.raises(SchemaError) as reference:
+        reference_scene_graphs(json.loads(path.read_text()))
+    assert str(reference.value) == str(err.value)
+
+
+@pytest.mark.parametrize("value", [True, None, 5, 2.5, [1], ["on"], {}])
+def test_a_relation_predicate_must_be_a_string(tmp_path, value):
+    graph = scene_graph_to_dict(make_graph())
+    graph["relations"][0]["predicate"] = value
+    path = tmp_path / "graphs.json"
+    path.write_text(json.dumps([graph]))
+    for image_ids in (None, set()):
+        with pytest.raises(SchemaError) as err:
+            load_scene_graphs(str(path), image_ids)
+        assert str(err.value) == (
+            f"$[0].relations[0].predicate: must be a string, got {value!r}"
+        )
     with pytest.raises(SchemaError) as reference:
         reference_scene_graphs(json.loads(path.read_text()))
     assert str(reference.value) == str(err.value)
