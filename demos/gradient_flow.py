@@ -51,7 +51,7 @@ def main() -> None:
     program = parse_program(PROGRAM)
     facts = FactSet(FACTS)
     graph = build_reasoning_graph(program, facts)
-    cfg = ReasonerConfig(gamma=0.1, steps=2)
+    cfg = ReasonerConfig(gamma=0.1)
     fact_values = np.ones(len(FACTS))
 
     weights = np.array([0.6, 0.6])

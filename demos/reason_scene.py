@@ -59,10 +59,10 @@ def main() -> None:
     graph = build_reasoning_graph(program, facts)
     print(f"\n{graph!r}")
 
-    cfg = ReasonerConfig(gamma=0.01, steps=2)
+    cfg = ReasonerConfig(gamma=0.01)
     v = forward(graph, values, graph.weights, cfg)
 
-    print("\nderived atoms after 2 rounds:")
+    print(f"\nderived atoms after {graph.depth} rounds:")
     for i in range(graph.n_facts, graph.n_atoms):
         if v[i] > 1e-6:
             print(f"  {graph.atoms[i]}  = {v[i]:.4f}")

@@ -52,7 +52,7 @@ def main() -> None:
     train, test = examples[:240], examples[240:]
 
     task = make_mixture_task(SOURCES)
-    reasoner_cfg = ReasonerConfig(steps=4)
+    reasoner_cfg = ReasonerConfig()
     eval_cfg = EvalConfig(match_iou=0.9)
 
     def weights(theta):

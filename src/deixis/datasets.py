@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -42,6 +41,7 @@ from .scene import (
     _new_graph,
     _new_relation,
     canon_constant,
+    is_finite_number,
     read_json,
 )
 
@@ -184,28 +184,21 @@ def _satisfies(sg: SceneGraph, obj: SceneObject, structured) -> bool:
     """
     for relation, name in structured:
         want = canon_constant(name)
-        hit = False
-        for rel in sg.relations:
-            if rel.subject_id != obj.object_id:
-                continue
-            if rel.predicate.strip().lower() != relation:
-                continue
-            target = sg.object_by_id(rel.object_id)
-            if any(canon_constant(n) == want for n in target.names):
-                hit = True
-                break
-        if not hit:
+        if not any(
+            rel.subject_id == obj.object_id
+            and rel.predicate.strip().lower() == relation
+            and any(
+                canon_constant(n) == want
+                for n in sg.object_by_id(rel.object_id).names
+            )
+            for rel in sg.relations
+        ):
             return False
     return True
 
 
 def _shared_synset(objects: list[SceneObject]) -> bool:
-    shared = set(objects[0].synsets)
-    for obj in objects[1:]:
-        shared &= set(obj.synsets)
-        if not shared:
-            return False
-    return bool(shared)
+    return bool(set.intersection(*(set(o.synsets) for o in objects)))
 
 
 def synthesize_deivg(
@@ -319,10 +312,6 @@ def _require(record: dict, key: str, path: str):
     if key not in record:
         raise SchemaError(path, f"missing required key {key!r}")
     return record[key]
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _parse_answer(record, path: str) -> AnswerObject:
@@ -440,7 +429,7 @@ def load_predictions(path: str) -> list[list[tuple[Box, float]]]:
             bpath = f"{ppath}.box"
             box = Box.from_dict(_require(entry, "box", bpath), bpath)
             score = _require(entry, "score", f"{ppath}.score")
-            if not _is_number(score) or not math.isfinite(score):
+            if not is_finite_number(score):
                 raise SchemaError(f"{ppath}.score", "must be a finite number")
             predictions.append((box, float(score)))
         prediction_sets.append(predictions)

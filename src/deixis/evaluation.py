@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scene import Box
+from .scene import Box, is_finite_number
 
 
 class EmptyEvaluation(ValueError):
@@ -37,8 +37,9 @@ class EvalConfig:
 
 def _box_and_score(prediction, score_key: str, index: int) -> tuple[Box, float]:
     """Accept (box, score) pairs, dicts, or objects with box/score fields.
-    A box given as a dict must hold numbers only (:meth:`Box.from_dict`);
-    its errors name the prediction by its ``index``."""
+    A box given as a dict must hold numbers only (:meth:`Box.from_dict`),
+    and the score a finite real number, never a bool; errors
+    name the prediction by its ``index``."""
     if isinstance(prediction, tuple) and len(prediction) == 2:
         box, score = prediction
     elif isinstance(prediction, dict):
@@ -47,6 +48,10 @@ def _box_and_score(prediction, score_key: str, index: int) -> tuple[Box, float]:
         box, score = prediction.box, getattr(prediction, score_key)
     if isinstance(box, dict):
         box = Box.from_dict(box, f"predictions[{index}].box")
+    if not is_finite_number(score):
+        raise ValueError(
+            f"predictions[{index}].score must be a finite number, not {score!r}"
+        )
     return box, float(score)
 
 

@@ -109,8 +109,8 @@ class _Plan:
 
     ``depth`` is the program's proof depth in rounds: an extensional
     predicate sits at 0 and a head one above its deepest body predicate.
-    It bounds the height of every ground atom, so the reasoner's rounds
-    past it change nothing. It is None when a stratum is recursive.
+    It bounds the height of every ground atom, so the reasoner runs that
+    many rounds. It is None when a stratum is recursive.
     """
 
     __slots__ = ("strata", "joins", "head_slots", "body_at", "depth")

@@ -1,7 +1,7 @@
 """Differentiable forward chaining over a grounded reasoning graph.
 
-The reasoner runs a fixed number of message-passing rounds on the bipartite
-graph built by :mod:`deixis.grounding`.  The only state a round carries to
+The reasoner runs message-passing rounds on the bipartite graph built by
+:mod:`deixis.grounding`.  The only state a round carries to
 the next is the atom valuation.  Each round scores every conjunction as the
 product of its body atoms under the previous valuation (a soft AND), then
 sets every atom that appears as a rule head to one soft OR of its own fact
@@ -23,9 +23,11 @@ overshoots the maximum by at most ``gamma * log(n)``.
 
 Since a head reads only its fact value and the previous valuation of its
 bodies, every atom of an acyclic graph is final once the round count
-reaches its proof depth: rounds past it change nothing.  So ``forward``
-runs ``min(cfg.steps, graph.depth)`` rounds, and ``cfg.steps`` only on a
-graph without a depth bound (a recursive program).
+reaches its proof depth, and not before: a target three rounds deep is 0
+after two.  So ``forward`` runs ``graph.depth`` rounds, the fixpoint of a
+non-recursive program (Abiteboul, Hull and Vianu, *Foundations of
+Databases*, 1995), and ``cfg.steps`` rounds only on a graph without a
+depth bound (a recursive program).
 
 ``forward`` takes one value per input fact (the graph's first ``n_facts``
 atoms) and starts every other atom at 0.  ``forward(record=True)`` also
@@ -77,9 +79,9 @@ class ReasonerConfig:
     """Knobs for the soft forward chainer.
 
     gamma:  smoothness of the log-sum-exp soft OR.  Smaller is sharper.
-    steps:  the most message-passing rounds, a bound on proof depth.
-        Rounds past a graph's proof depth change nothing, so forward
-        stops there (see ``ReasoningGraph.depth``).
+    steps:  the message-passing rounds of a recursive program.  An
+        acyclic program runs to its proof depth whatever ``steps`` says
+        (see ``ReasoningGraph.depth``).
     target_threshold:  minimum score for an object to count as a target.
     """
 
@@ -189,8 +191,8 @@ def forward(
     cfg: ReasonerConfig,
     record: bool = False,
 ):
-    """Run ``min(cfg.steps, graph.depth)`` rounds of soft forward
-    chaining, or ``cfg.steps`` when the graph has no depth bound.
+    """Run ``graph.depth`` rounds of soft forward chaining, or
+    ``cfg.steps`` when the graph has no depth bound (a recursive program).
 
     ``fact_values`` holds one value per input fact; every derived atom
     starts at 0.  Returns the final atom valuation, or ``(valuation, tape)``
@@ -233,7 +235,7 @@ def forward(
         weights.flags.writeable = False
         tape = Tape(graph, weights)
 
-    rounds = cfg.steps if graph.depth is None else min(cfg.steps, graph.depth)
+    rounds = cfg.steps if graph.depth is None else graph.depth
     for _ in range(rounds):
         # Soft AND: each conjunction scores the product of its body atoms
         # under the previous valuation.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -79,6 +80,14 @@ def read_json(path: str):
     """Decode a JSON file; a syntax error names the file."""
     with open(path, encoding="utf-8") as fh:
         return parse_json(fh.read(), path)
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a finite real number. A bool or a numeric
+    string, which ``float()`` would take, is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return math.isfinite(value)
 
 
 def _check_box(x: float, y: float, w: float, h: float) -> None:
@@ -209,18 +218,24 @@ class SceneGraph:
 def canon_constant(name: str) -> str:
     """Canonicalize an object/attribute name: lowercase, alphanumerics only.
 
-    "white line" -> "whiteline", "Stop Sign" -> "stopsign". Idempotent.
+    "white line" -> "whiteline", "Stop Sign" -> "stopsign". A letter that
+    stays uppercase after lowering (``ℭ``) is dropped, so the result never
+    reads as a variable. Idempotent.
     """
-    return "".join(c for c in name.lower() if c.isalnum())
+    return "".join(c for c in name.lower() if c.isalnum() and not c.isupper())
 
 
 def canon_predicate(name: str) -> str:
     """Canonicalize a relation name: lowercase, spaces become underscores.
 
-    "parked on" -> "parked_on", "in front of" -> "in_front_of". Idempotent.
+    "parked on" -> "parked_on", "in front of" -> "in_front_of". Letters
+    that stay uppercase after lowering are dropped, as in
+    :func:`canon_constant`. Idempotent.
     """
     joined = "_".join(name.lower().split())
-    return "".join(c for c in joined if c.isalnum() or c == "_")
+    return "".join(
+        c for c in joined if (c.isalnum() and not c.isupper()) or c == "_"
+    )
 
 
 # Each distinct raw name is canonicalised once, and each distinct constant

@@ -281,7 +281,7 @@ def test_criterion_06_mixture_learning_beats_uniform_init():
     train, val, test = examples[:1200], examples[1200:1600], examples[1600:2000]
 
     task = make_mixture_task(("ground_truth", "corrupted"))
-    reasoner_cfg = ReasonerConfig(steps=4)
+    reasoner_cfg = ReasonerConfig()
     eval_cfg = EvalConfig(match_iou=0.9)
     init_map = evaluate_mixture(task, task.params, test, reasoner_cfg, 0, eval_cfg)
     cfg = TrainConfig(lr=1e-2, steps=200, seed=7, iou_threshold=0.8)

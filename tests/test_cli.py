@@ -1144,6 +1144,96 @@ def test_a_relation_predicate_that_is_not_a_string_exits_2(
     )
 
 
+def _eval_inputs() -> tuple[list, list, list]:
+    """The scene of ``_one_scene``, two DeiVG records over it and a
+    predictions file aligned with them."""
+    scene = _one_scene(lambda g: g["relations"][0].update(confidence=0.9))
+    man, boat = ({k: o[k] for k in ("names", "object_id", "x", "y", "w", "h")}
+                 for o in scene["objects"])
+    records = [
+        {"deictic_prompt": "an object that is on a man.", "answer": [boat],
+         "VG_image_id": 3, "VG_data_index": 0, "structured": [["on", "man"]],
+         "complexity": 1},
+        {"deictic_prompt": "an object that is a man.", "answer": [man, boat],
+         "VG_image_id": 3, "VG_data_index": 1, "structured": [["on", "boat"]],
+         "complexity": 1},
+    ]
+    box = {k: boat[k] for k in ("x", "y", "w", "h")}
+    predictions = [
+        {"predictions": [{"box": box, "score": 0.9}]},
+        {"predictions": [{"box": box, "score": 0.4}, {"box": box, "score": 1}]},
+    ]
+    return [scene], records, predictions
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_eval_on_mutated_records_and_predictions_exits_0_or_2(
+    tmp_path_factory, data
+):
+    """One or two values of the DeiVG file or the predictions file
+    replaced by a value of another type, a non-finite or huge number, or
+    deleted: eval exits 0 with a strict JSON report, or 2, never with an
+    internal error."""
+    scenes, records, predictions = _eval_inputs()
+    mode = data.draw(st.sampled_from(["--scene-graphs", "--predictions"]))
+    mutated = records
+    if mode == "--predictions":
+        mutated = data.draw(st.sampled_from([records, predictions]))
+    for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+        *parents, key = data.draw(
+            st.sampled_from(list(_json_paths(mutated))), label="path"
+        )
+        node = mutated
+        for k in parents:
+            node = node[k]
+        value = data.draw(st.sampled_from(_FUZZ_VALUES), label="value")
+        if value is _DELETE:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(value)
+    where = tmp_path_factory.mktemp("fuzz-eval")
+    inputs = {"--scene-graphs": scenes, "--predictions": predictions}
+    for name, content in (("deivg", records), ("input", inputs[mode])):
+        (where / f"{name}.json").write_text(json.dumps(content))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(
+            [
+                "eval", "--data", str(where / "deivg.json"),
+                mode, str(where / "input.json"),
+                "--output", str(where / "report.json"),
+            ]
+        )
+    assert code in (0, 2), err.getvalue()
+    assert "internal error" not in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        for name in ("report.json", "report.json.manifest.json"):
+            json.loads(
+                (where / name).read_text(), parse_constant=_reject_constant
+            )
+
+
+def test_reason_never_reads_a_canonical_name_as_a_variable(tmp_path, capsys):
+    """``ℭ`` stays uppercase when lowercased; kept, ``type(Y,ℭar)`` would
+    read it as a variable and select the man, who is on a table."""
+    scene = _one_scene(lambda g: g["objects"][1].update(names=["table"]))
+    scene["relations"] = [{"subject_id": 1, "predicate": "on", "object_id": 2}]
+    path = tmp_path / "graphs.json"
+    path.write_text(json.dumps([scene]))
+    code = main(
+        [
+            "reason", "--scene-graphs", str(path),
+            "--structured", '[["on", "ℭar"]]',
+        ]
+    )
+    assert code == 0
+    [prediction] = json.loads(capsys.readouterr().out)["results"][0]["predictions"]
+    assert prediction["fallback"] is True
+    assert prediction["score"] < 1.0
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled):
     seen = []

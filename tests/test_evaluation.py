@@ -119,6 +119,14 @@ def test_dict_boxes_must_hold_numbers(box, path):
         evaluate_instances([([(box, 0.9)], [Box(1, 1, 5, 5)])], EvalConfig())
 
 
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), True, "0.9"])
+def test_scores_must_be_finite_numbers(score):
+    # float() would take each of these, and the prediction would score 1.0.
+    box = Box(0, 0, 10, 10)
+    with pytest.raises(ValueError, match=r"predictions\[0\]\.score"):
+        evaluate_instances([([(box, score)], [box])])
+
+
 def test_answers_given_as_dicts_are_rejected():
     answer = {"x": 0, "y": 0, "w": 10, "h": 10}
     with pytest.raises(ValueError, match=r"answers\[0\] must be a Box, not dict"):

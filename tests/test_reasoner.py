@@ -84,13 +84,15 @@ def test_forward_two_rounds_derives_target():
     assert np.all((v >= 0.0) & (v <= 1.0))
 
 
-def test_forward_one_round_is_not_enough():
-    # Conditions are derived in round one, target needs a second round.
+def test_forward_one_step_gives_the_bits_of_two_on_a_depth_two_program():
+    # Conditions are derived in round one, target needs a second round:
+    # forward runs both, whatever ``steps`` says.
     _, facts, graph, weights = boat_scene_setup()
-    cfg = ReasonerConfig(gamma=0.01, steps=1)
-    v = forward(graph, np.ones(len(facts)), weights, cfg)
-    assert v[graph.atoms.index(atom("target", "obj1"))] < 0.1
-    assert v[graph.atoms.index(atom("cond1", "obj1"))] > 0.99
+    assert graph.depth == 2
+    one = forward(graph, np.ones(len(facts)), weights, ReasonerConfig(0.01, 1))
+    two = forward(graph, np.ones(len(facts)), weights, ReasonerConfig(0.01, 2))
+    assert same_bits(one, two)
+    assert one[graph.atoms.index(atom("target", "obj1"))] > 0.99
 
 
 def test_forward_zero_weight_blocks_rule():
@@ -220,8 +222,12 @@ def program_depth(program):
     return None if None in depths else max(depths, default=0)
 
 
-def rounds_run(steps, depth) -> int:
-    return steps if depth is None else min(steps, depth)
+def rounds_cfg(graph, cfg) -> ReasonerConfig:
+    """The config whose ``steps`` are the rounds forward runs on ``graph``:
+    its proof depth, or ``cfg.steps`` on a recursive graph."""
+    if graph.depth is None:
+        return cfg
+    return ReasonerConfig(cfg.gamma, graph.depth, cfg.target_threshold)
 
 
 @settings(max_examples=150, deadline=None)
@@ -237,9 +243,9 @@ def rounds_run(steps, depth) -> int:
 @example(rules=set(range(len(KERNEL_RULES))), n_objects=4, seed=2, gamma=0.2, steps=8)
 def test_kernel_matches_the_reference_bit_for_bit(rules, n_objects, seed, gamma, steps):
     """forward and backward give the bits of the reference kernel, which
-    runs all ``steps`` rounds: the valuation, each round's conjunction
-    values (its products) and both gradients. forward stops at the
-    program's proof depth, where one is known."""
+    runs exactly the rounds it is given: the valuation, each round's
+    conjunction values (its products) and both gradients. forward runs
+    the program's proof depth where one is known, else ``steps``."""
     rng = np.random.default_rng(seed)
     consts = [f"obj{i}" for i in range(1, n_objects + 1)]
     facts = FactSet()
@@ -263,12 +269,14 @@ def test_kernel_matches_the_reference_bit_for_bit(rules, n_objects, seed, gamma,
     cfg = ReasonerConfig(gamma=gamma, steps=steps)
 
     v, tape = forward(graph, fact_values, weights, cfg, record=True)
-    ref_v, ref_tape = reference_forward(graph, fact_values, weights, cfg, record=True)
+    ref_cfg = rounds_cfg(graph, cfg)
+    ref_v, ref_tape = reference_forward(
+        graph, fact_values, weights, ref_cfg, record=True
+    )
     assert same_bits(v, ref_v)
     assert same_bits(forward(graph, fact_values, weights, cfg), v)
     assert graph.depth == program_depth(program)
-    assert len(ref_tape.rounds) == steps
-    assert len(tape.rounds) == rounds_run(steps, graph.depth)
+    assert len(tape.rounds) == len(ref_tape.rounds) == ref_cfg.steps
     for rec, ref in zip(tape.rounds, ref_tape.rounds):
         assert same_bits(rec.products, ref.products)
     grad_w, grad_facts = backward(tape, loss_grad)
@@ -379,10 +387,10 @@ def test_no_evidence_scores_zero_and_rounds_past_the_depth_change_nothing(
     gamma=st.floats(0.01, 0.2),
 )
 @example(rules=set(range(len(ACYCLIC_RULES))), n_objects=4, seed=3, gamma=0.2)
-def test_rounds_past_the_depth_change_no_gradient(rules, n_objects, seed, gamma):
-    """The gradients at the proof depth are the gradients at every larger
-    ``steps``, bit for bit: the reference kernel, which runs every round,
-    gives them too. The tape holds the rounds forward ran."""
+def test_steps_change_nothing_on_an_acyclic_program(rules, n_objects, seed, gamma):
+    """forward at every ``steps`` gives the valuation and the gradients of
+    the reference kernel run for the proof depth, bit for bit: the tape
+    holds the depth's rounds, below it and past it."""
     rng = np.random.default_rng(seed)
     consts = [f"obj{i}" for i in range(1, n_objects + 1)]
     facts = FactSet()
@@ -399,21 +407,20 @@ def test_rounds_past_the_depth_change_no_gradient(rules, n_objects, seed, gamma)
     weights = rng.uniform(0.0, 1.0, graph.n_rules)
     loss_grad = rng.normal(size=graph.n_atoms)
 
-    depth = max(proof_depth(graph), 1)
-    _, tape = forward(
-        graph, fact_values, weights, ReasonerConfig(gamma, depth), record=True
+    assert proof_depth(graph) <= graph.depth == program_depth(program)
+    ref_cfg = ReasonerConfig(gamma, graph.depth)
+    ref_v, ref_tape = reference_forward(
+        graph, fact_values, weights, ref_cfg, record=True
     )
-    assert len(tape.rounds) == depth
-    at_depth = backward(tape, loss_grad)
-    for more in range(depth, 9):
-        cfg = ReasonerConfig(gamma, more)
-        _, tape = forward(graph, fact_values, weights, cfg, record=True)
-        assert len(tape.rounds) == rounds_run(more, graph.depth)
-        _, ref_tape = reference_forward(graph, fact_values, weights, cfg, record=True)
-        ref = reference_backward(ref_tape, loss_grad)
-        for grad_w, grad_facts in (backward(tape, loss_grad), ref):
-            assert same_bits(grad_w, at_depth[0])
-            assert same_bits(grad_facts, at_depth[1])
+    ref_w, ref_facts = reference_backward(ref_tape, loss_grad)
+    for steps in range(1, 9):
+        cfg = ReasonerConfig(gamma, steps)
+        v, tape = forward(graph, fact_values, weights, cfg, record=True)
+        assert len(tape.rounds) == graph.depth
+        assert same_bits(v, ref_v)
+        grad_w, grad_facts = backward(tape, loss_grad)
+        assert same_bits(grad_w, ref_w)
+        assert same_bits(grad_facts, ref_facts)
 
 
 README_PROGRAM = "cond1(X):-on(X,Y),type(Y,boat).\ntarget(X):-cond1(X).\n"

@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from deixis.logic import Atom, FactSet, Predicate, Term, atom
 from deixis.scene import (
@@ -84,6 +84,19 @@ def test_canonicalization():
     assert canon_constant("Traffic Light!") == "trafficlight"
     assert canon_predicate("ON TOP OF") == "on_top_of"
     assert canon_constant(canon_constant("Boat")) == "boat"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=8))
+@example("ℭar")
+@example("ϒ on")
+def test_a_canonical_name_is_a_constant_or_empty(name):
+    """Some letters stay uppercase when lowercased (``ℭ``, ``ϒ``); kept at
+    the start, they would make the name a variable."""
+    for canon in (canon_constant, canon_predicate):
+        result = canon(name)
+        assert result == "" or Term(result).is_constant
+        assert canon(result) == result
 
 
 def test_scene_graph_rejects_dangling_relation():

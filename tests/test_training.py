@@ -43,9 +43,9 @@ PROGRAM_1 = (
     "target(X):-cond1(X),cond2(X).\n"
 )
 
-# The reasoner the training tests run: four rounds reach every template
-# program's proof depth.
-REASONER_CFG = ReasonerConfig(steps=4)
+# The reasoner the training tests run: template programs are acyclic, so
+# it runs each to its proof depth.
+REASONER_CFG = ReasonerConfig()
 
 
 def test_specialize_appends_source_variable():
@@ -191,6 +191,23 @@ def test_training_is_deterministic():
         np.array([t.loss for t in r1.trace]),
         np.array([t.loss for t in r2.trace]),
     )
+
+
+@pytest.mark.filterwarnings(
+    "ignore::deixis.datasets.InsufficientCandidatesWarning"
+)
+def test_steps_below_the_proof_depth_train_like_the_default():
+    """Mixture programs are three rounds deep, and one step still runs all
+    three: theta moves, by the bits it moves at the default."""
+    examples = make_training_data(n_graphs=12, seed=2)
+    cfg = TrainConfig(steps=8, seed=1)
+    one, default = (
+        train_mixture(make_mixture_task(("ground_truth", "corrupted")),
+                      examples, cfg, reasoner_cfg)
+        for reasoner_cfg in (ReasonerConfig(steps=1), REASONER_CFG)
+    )
+    assert one.theta.tobytes() == default.theta.tobytes()
+    assert np.all(one.theta != 0.0)
 
 
 @pytest.mark.filterwarnings(
