@@ -270,25 +270,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _templated_graph(
-    inst: DeicticInstance, graphs_by_image: dict[int, SceneGraph], remedy: str
-) -> SceneGraph:
-    """The scene graph of an instance whose program is templated from its
-    structured conditions. ValueError, ending in ``remedy``, when it has
-    no conditions, and ValueError when the corpus lacks its image."""
-    if not inst.structured:
-        raise ValueError(
-            f"instance for image {inst.image_id} has no structured "
-            f"conditions; {remedy}"
-        )
-    sg = graphs_by_image.get(inst.image_id)
-    if sg is None:
-        raise ValueError(
-            f"no scene graph for image {inst.image_id} in the corpus"
-        )
-    return sg
-
-
 def _instance_examples(
     instances: list[DeicticInstance],
     graphs_by_image: dict[int, SceneGraph],
@@ -300,9 +281,16 @@ def _instance_examples(
     corrupted_cache: dict[int, SceneGraph] = {}
     examples = []
     for inst in instances:
-        sg = _templated_graph(
-            inst, graphs_by_image, "cannot rebuild its program offline"
-        )
+        if not inst.structured:
+            raise ValueError(
+                f"instance for image {inst.image_id} has no structured "
+                "conditions; cannot rebuild its program offline"
+            )
+        sg = graphs_by_image.get(inst.image_id)
+        if sg is None:
+            raise ValueError(
+                f"no scene graph for image {inst.image_id} in the corpus"
+            )
         if inst.image_id not in corrupted_cache:
             corrupted_cache[inst.image_id] = corrupt_scene_graph(
                 sg,
@@ -362,7 +350,7 @@ def cmd_train(args) -> int:
         iou_threshold=args.iou_threshold,
         seed=args.seed,
     )
-    reasoner_cfg = ReasonerConfig(gamma=args.gamma, steps=args.reason_steps)
+    reasoner_cfg = ReasonerConfig(gamma=args.gamma)
     task = make_mixture_task(sources)
 
     init_test_map = evaluate_mixture(
@@ -396,7 +384,7 @@ def cmd_train(args) -> int:
         "train",
         {
             "train": cfg.to_dict(),
-            "reasoner": {"gamma": args.gamma, "steps": args.reason_steps},
+            "reasoner": {"gamma": args.gamma},
             "drop_rate": args.drop_rate,
             "spurious": args.spurious,
             "corrupt_seed": args.corrupt_seed,
@@ -413,11 +401,10 @@ def cmd_train(args) -> int:
 
 def _pipeline_predictions(
     inst: DeicticInstance,
-    graphs_by_image: dict[int, SceneGraph],
+    sg: SceneGraph,
     reasoner_cfg: ReasonerConfig,
     seed: int,
 ) -> list[tuple]:
-    sg = _templated_graph(inst, graphs_by_image, "supply --predictions instead")
     program = template_rulegen(inst.structured)
     facts, fact_values = scene_graph_to_facts(sg, program)
     graph = build_reasoning_graph(program, facts)
@@ -444,11 +431,22 @@ def cmd_eval(args) -> int:
             args.scene_graphs, {inst.image_id for inst in instances}
         )
         graphs_by_image = {sg.image_id: sg for sg in graphs}
-        reasoner_cfg = ReasonerConfig(gamma=args.gamma, steps=args.steps)
-        prediction_sets = [
-            _pipeline_predictions(inst, graphs_by_image, reasoner_cfg, args.seed)
-            for inst in instances
-        ]
+        reasoner_cfg = ReasonerConfig(gamma=args.gamma)
+        prediction_sets = []
+        for inst in instances:
+            if not inst.structured:
+                raise ValueError(
+                    f"instance for image {inst.image_id} has no structured "
+                    "conditions; supply --predictions instead"
+                )
+            sg = graphs_by_image.get(inst.image_id)
+            if sg is None:
+                raise ValueError(
+                    f"no scene graph for image {inst.image_id} in the corpus"
+                )
+            prediction_sets.append(
+                _pipeline_predictions(inst, sg, reasoner_cfg, args.seed)
+            )
     else:
         raise ValueError("eval needs --predictions or --scene-graphs")
 
@@ -479,12 +477,10 @@ _REQUIRED_SETTINGS = {
     "eval": ("data",),
 }
 
-STEPS_HELP = "bounds recursive programs; acyclic ones run to their proof depth"
-
 
 def load_config_file(path: str) -> dict:
     """Read a JSON object of default settings, normalizing key spelling
-    so "reason-steps" and "reason_steps" are the same key."""
+    so "match-iou" and "match_iou" are the same key."""
     data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
@@ -538,7 +534,9 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
         "--similarity", choices=("cosine", "dot"), default="cosine"
     )
     reason.add_argument("--gamma", type=float, default=0.01)
-    reason.add_argument("--steps", type=int, default=2, help=STEPS_HELP)
+    reason.add_argument(
+        "--steps", type=int, default=2, help="rounds of a recursive program only"
+    )
     reason.add_argument("--threshold", type=float, default=0.2)
     reason.add_argument("--seed", type=int, default=0)
     reason.add_argument("--output")
@@ -586,7 +584,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     train.add_argument("--iou-threshold", type=float, default=0.8)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--gamma", type=float, default=0.01)
-    train.add_argument("--reason-steps", type=int, default=4, help=STEPS_HELP)
     train.add_argument("--train-n", type=int, default=1200)
     train.add_argument("--val-n", type=int, default=400)
     train.add_argument("--test-n", type=int, default=400)
@@ -608,7 +605,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                                "reading predictions")
     evaluate.add_argument("--match-iou", type=float, default=0.5)
     evaluate.add_argument("--gamma", type=float, default=0.01)
-    evaluate.add_argument("--steps", type=int, default=2, help=STEPS_HELP)
     evaluate.add_argument("--seed", type=int, default=0)
     evaluate.add_argument("--output")
     evaluate.set_defaults(func=cmd_eval)

@@ -184,21 +184,28 @@ def _satisfies(sg: SceneGraph, obj: SceneObject, structured) -> bool:
     """
     for relation, name in structured:
         want = canon_constant(name)
-        if not any(
-            rel.subject_id == obj.object_id
-            and rel.predicate.strip().lower() == relation
-            and any(
-                canon_constant(n) == want
-                for n in sg.object_by_id(rel.object_id).names
-            )
-            for rel in sg.relations
-        ):
+        hit = False
+        for rel in sg.relations:
+            if rel.subject_id != obj.object_id:
+                continue
+            if rel.predicate.strip().lower() != relation:
+                continue
+            target = sg.object_by_id(rel.object_id)
+            if any(canon_constant(n) == want for n in target.names):
+                hit = True
+                break
+        if not hit:
             return False
     return True
 
 
 def _shared_synset(objects: list[SceneObject]) -> bool:
-    return bool(set.intersection(*(set(o.synsets) for o in objects)))
+    shared = set(objects[0].synsets)
+    for obj in objects[1:]:
+        shared &= set(obj.synsets)
+        if not shared:
+            return False
+    return bool(shared)
 
 
 def synthesize_deivg(

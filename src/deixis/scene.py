@@ -87,7 +87,10 @@ def is_finite_number(value) -> bool:
     string, which ``float()`` would take, is not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
-    return math.isfinite(value)
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _check_box(x: float, y: float, w: float, h: float) -> None:
@@ -151,7 +154,7 @@ class Box:
             coords.append(value)
         try:
             return cls(*coords)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # an int too large for a float
             raise SchemaError(path, f"invalid box: {exc}") from exc
 
 
@@ -233,9 +236,7 @@ def canon_predicate(name: str) -> str:
     :func:`canon_constant`. Idempotent.
     """
     joined = "_".join(name.lower().split())
-    return "".join(
-        c for c in joined if (c.isalnum() and not c.isupper()) or c == "_"
-    )
+    return "".join(c for c in joined if c == "_" or c.isalnum() and not c.isupper())
 
 
 # Each distinct raw name is canonicalised once, and each distinct constant
@@ -356,10 +357,8 @@ def scene_graph_to_facts(
     demand = None if program is None else _demand(program, 2 + (tag is not None))
     # The rows are distinct, and each predicate is made with its rows'
     # arity, so the atoms and the store are built without a check. Their
-    # groundness is tested on the strings: a row's subject is an object
-    # constant, so only its second argument (a type row's name) or the tag
-    # can read as a variable, since some letters, such as 'ℭ', stay
-    # uppercase when lowercased.
+    # arguments are object constants and canonical names, which never read
+    # as variables; only the tag, which ends every fact, can.
     atoms: list[Atom] = []
     values: list[float] = []
     for name, args, value in scene_rows(sg):
@@ -371,11 +370,10 @@ def scene_graph_to_facts(
                 all(args[i] == c for i, c in p) for p in patterns
             ):
                 continue
-        atom = _new_atom(_predicate(name, len(args)), tuple(map(_term, args)))
-        if args[1][0].isupper() or args[-1][0].isupper():
-            raise ValueError(f"non-ground fact: {atom}")
-        atoms.append(atom)
+        atoms.append(_new_atom(_predicate(name, len(args)), tuple(map(_term, args))))
         values.append(value)
+    if atoms and tag is not None and tag[0].isupper():
+        raise ValueError(f"non-ground fact: {atoms[0]}")
     return FactSet._of_distinct(atoms), np.asarray(values, dtype=float)
 
 
@@ -419,10 +417,14 @@ def _integer(value) -> int:
 
 def _number(value) -> float:
     """A number JSON value: an int, a float or a numeric string; never a
-    bool."""
+    bool. An int too large for a float is infinite, as the JSON parser
+    reads a float literal too large for one."""
     if isinstance(value, bool):
         raise TypeError("a bool is not a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return -_INF if value < 0 else _INF
 
 
 def _string(value) -> str:
@@ -524,7 +526,10 @@ def _read_scene_graph(
             x.__class__ in _NUMBER and y.__class__ in _NUMBER
             and w.__class__ in _NUMBER and h.__class__ in _NUMBER
         ):
-            x, y, w, h = float(x), float(y), float(w), float(h)
+            try:
+                x, y, w, h = float(x), float(y), float(w), float(h)
+            except OverflowError:  # an int too large for a float
+                x, y, w, h = map(_number, (x, y, w, h))
         else:
             where = _at(path, "objects", j)
             x, y = _field(entry, "x", where), _field(entry, "y", where)
@@ -568,7 +573,7 @@ def _read_scene_graph(
         key = "confidence" if "confidence" in entry else "score"
         confidence = entry.get(key, 1.0)
         if confidence.__class__ in _NUMBER:
-            confidence = float(confidence)
+            confidence = _number(confidence)
         else:
             confidence = _field(entry, key, _at(path, array, j), default=1.0)
         if not 0.0 <= confidence <= 1.0:

@@ -1058,8 +1058,8 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, data_dir):
 # What the fuzz test puts in place of a value; _DELETE removes the key.
 _DELETE = object()
 _FUZZ_VALUES = (
-    None, True, False, math.nan, math.inf, -math.inf, 2**70, "x", "1", [],
-    [1], {}, {"object_id": 1}, _DELETE,
+    None, True, False, math.nan, math.inf, -math.inf, 2**70, 10**400, "x",
+    "1", [], [1], {}, {"object_id": 1}, _DELETE,
 )
 
 

@@ -111,17 +111,22 @@ def test_accepts_dicts_and_objects():
         ({"x": "1", "y": 1, "w": 5, "h": 5}, r"predictions\[0\]\.box\.x"),
         ({"x": 1, "y": True, "w": 5, "h": 5}, r"predictions\[0\]\.box\.y"),
         ({"x": 1, "y": 1, "w": 5}, r"predictions\[0\]\.box\.h"),
+        ({"x": 1, "y": 1, "w": 10**400, "h": 5}, r"predictions\[0\]\.box"),
     ],
 )
 def test_dict_boxes_must_hold_numbers(box, path):
-    # A coercing reader would score each of these 1.0 against this answer.
+    # A coercing reader would score the first three 1.0 against this
+    # answer, and raise OverflowError on the last.
     with pytest.raises(ValueError, match=path):
         evaluate_instances([([(box, 0.9)], [Box(1, 1, 5, 5)])], EvalConfig())
 
 
-@pytest.mark.parametrize("score", [float("nan"), float("inf"), True, "0.9"])
+@pytest.mark.parametrize(
+    "score", [float("nan"), float("inf"), True, "0.9", 10**400]
+)
 def test_scores_must_be_finite_numbers(score):
-    # float() would take each of these, and the prediction would score 1.0.
+    # float() would take the first four, and the prediction would score 1.0;
+    # an int too large for a float would raise OverflowError.
     box = Box(0, 0, 10, 10)
     with pytest.raises(ValueError, match=r"predictions\[0\]\.score"):
         evaluate_instances([([(box, score)], [box])])

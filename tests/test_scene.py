@@ -140,8 +140,9 @@ def _checked_facts(sg, tag=None):
     st.sampled_from([None, "sgg0", "Src", "ℭ1"]),
 )
 def test_scene_facts_match_the_checked_build(names, tag):
-    """Some letters stay uppercase when lowercased, so a canonical name can
-    read as a variable; such a fact is rejected as ``FactSet.add`` would."""
+    """A canonical name never reads as a variable, though some letters stay
+    uppercase when lowercased; a tag that does is rejected as
+    ``FactSet.add`` would reject it."""
     sg = SceneGraph(
         image_id=1,
         objects=(
@@ -232,6 +233,11 @@ def test_relation_confidence_is_clipped_at_ingestion(value, clipped):
         (lambda g: g["objects"][1].pop("x"), "$[1].objects[1].x"),
         (lambda g: g["relations"][0].update(confidence=float("nan")),
          "$[1].relations[0].confidence"),
+        # An int too large for a float reads as infinite.
+        pytest.param(lambda g: g["objects"][1].update(w=10**400),
+                     "$[1].objects[1]", id="huge-int-box"),
+        pytest.param(lambda g: g["relations"][0].update(confidence=-10**400),
+                     "$[1].relations[0].confidence", id="huge-int-confidence"),
     ],
 )
 def test_load_scene_graphs_names_the_bad_path(tmp_path, edit, where):

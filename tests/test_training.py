@@ -368,15 +368,15 @@ def assert_replay_matches(task, example, theta, cfg):
 )
 # Nothing is derivable from the one source, so the merge layer is empty.
 @example(index=10, sources=("corrupted",), theta=[0.0, 0.0], steps=3, gamma=0.1)
-# Two rounds, one below the proof depth: the last round raised the
-# targetSgg atoms after the target atoms had read them at 0.
+# Two steps, one below the proof depth: steps is ignored on this acyclic
+# program, so the pass still runs all three rounds.
 @example(
     index=1, sources=("ground_truth", "corrupted"), theta=[1.0, -1.0],
     steps=2, gamma=0.05,
 )
 def test_a_replayed_pass_matches_the_whole_graph(index, sources, theta, steps, gamma):
-    """At every round count, below the proof depth too, a replayed pass
-    matches the whole graph's."""
+    """For any ``steps``, which the acyclic mixture program ignores, a
+    replayed pass matches the whole graph's."""
     examples = replay_examples()
     example = examples[index % len(examples)]
     assert_replay_matches(
